@@ -25,8 +25,8 @@
 #include <unistd.h>
 
 #include "cluster/router.hpp"
+#include "net/admin_drain.hpp"
 #include "net/client.hpp"
-#include "net/events_wire.hpp"
 #include "net/stats.hpp"
 #include "obs/journal.hpp"
 #include "obs/span.hpp"
@@ -397,47 +397,27 @@ struct EventsSource {
   bool reachable = false;
 };
 
-/// Drain everything past `src.cursor` from one endpoint, aligning each
-/// event's peer-steady timestamp onto this process's wall clock via the
-/// response anchor and the RTT-midpoint skew estimate (the same correction
-/// rlb_trace applies to merged spans).
+/// Drain everything past `src.cursor` from one endpoint, with each event
+/// placed on this process's wall clock (net/admin_drain.hpp).
 void poll_events(EventsSource& src, std::vector<AlignedEvent>& out) {
   try {
-    rlb::net::Client client;
-    client.connect(src.endpoint.host, src.endpoint.port);
-    client.set_recv_timeout_ms(2000);
-    for (;;) {
-      const std::uint64_t sent_wall = rlb::obs::wall_now_ns();
-      client.send_events_request(src.cursor);
-      client.flush();
-      rlb::net::EventsSnapshot snap;
-      if (!client.read_events_response(snap)) break;
-      const std::uint64_t recv_wall = rlb::obs::wall_now_ns();
-      // The peer stamped its anchor (steady_ns, wall_ns) while answering —
-      // locally that instant is best estimated as the request's RTT
-      // midpoint.  Mapping peer-steady onto local-wall through the anchor
-      // cancels the peer's wall-clock skew entirely.
-      const std::int64_t anchor_local =
-          static_cast<std::int64_t>(sent_wall) +
-          static_cast<std::int64_t>(recv_wall - sent_wall) / 2;
-      const std::int64_t offset =
-          anchor_local - static_cast<std::int64_t>(snap.steady_ns);
-      src.label = snap.role == rlb::net::NodeRole::kRouter
-                      ? "router"
-                      : "backend-" + std::to_string(snap.backend_id);
-      src.reachable = true;
-      src.dropped += snap.dropped;
-      src.cursor = snap.next_cursor;
-      for (rlb::net::EventRecord& rec : snap.events) {
-        AlignedEvent ev;
-        ev.source = src.label;
-        ev.wall_ns = static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(rec.steady_ns) + offset);
-        ev.record = std::move(rec);
-        out.push_back(std::move(ev));
-      }
-      if (snap.remaining == 0) break;
-    }
+    rlb::net::drain_events(
+        src.endpoint.host, src.endpoint.port, src.cursor,
+        [&src, &out](rlb::net::EventsSnapshot& chunk,
+                     std::int64_t wall_offset_ns) {
+          src.label = chunk.label();
+          src.reachable = true;
+          src.dropped += chunk.dropped;
+          src.cursor = chunk.next_cursor;
+          for (rlb::net::EventRecord& rec : chunk.events) {
+            AlignedEvent ev;
+            ev.source = src.label;
+            ev.wall_ns = static_cast<std::uint64_t>(
+                static_cast<std::int64_t>(rec.steady_ns) + wall_offset_ns);
+            ev.record = std::move(rec);
+            out.push_back(std::move(ev));
+          }
+        });
   } catch (const std::exception&) {
     src.reachable = false;
   }

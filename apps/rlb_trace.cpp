@@ -9,13 +9,10 @@
 //      (router and backends), looping until each recorder drains
 //      (`remaining == 0`); read loadgen root spans from --span-file JSONL.
 //   2. align: every TRACE_RESP carries a (steady_ns, wall_ns) clock anchor
-//      sampled at encode time.  Span time maps onto the wall clock as
-//      wall(ts) = ts + (wall_ns - steady_ns), and the residual skew between
-//      the daemon's wall clock and ours is estimated from the scrape RTT:
-//      the anchor was taken between our send and receive, so it should read
-//      our midpoint — the difference is subtracted (the same RTT/2 midpoint
-//      scheme the router's heartbeat RTT EMA feeds).  Span files carry an
-//      anchor line instead and are trusted as-is (no RTT to measure).
+//      sampled at encode time; the anchor instant is taken to be our scrape
+//      RTT's midpoint, which maps span time onto our wall clock
+//      (net/admin_drain.hpp).  Span files carry an anchor line instead and
+//      are trusted as-is (no RTT to measure).
 //   3. merge: group spans by trace id, reconstruct parent/child trees
 //      (client.request -> router.request -> router.hop per attempt ->
 //      engine.request), and emit JSONL (--out), a Chrome trace file
@@ -36,8 +33,7 @@
 #include <vector>
 
 #include "cluster/router.hpp"
-#include "net/client.hpp"
-#include "net/trace_wire.hpp"
+#include "net/admin_drain.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
 
@@ -70,42 +66,23 @@ struct Source {
   bool anchored = true;
 };
 
-/// Drain one daemon's recorder: TRACE until `remaining == 0`.  Every chunk
-/// gets its own anchor/skew estimate (its own Source entry).
+/// Drain one daemon's recorder.  Every chunk gets its own anchor/skew
+/// estimate (its own Source entry).
 bool scrape_endpoint(const cluster::BackendEndpoint& endpoint,
                      std::vector<Source>& out, std::string& error) {
   try {
-    net::Client client;
-    client.connect(endpoint.host, endpoint.port);
-    client.set_recv_timeout_ms(2000);
-    for (;;) {
-      const std::uint64_t sent_wall = obs::wall_now_ns();
-      client.send_trace_request();
-      client.flush();
-      net::TraceSnapshot snapshot;
-      if (!client.read_trace_response(snapshot)) {
-        error = "connection closed";
-        return false;
-      }
-      const std::uint64_t recv_wall = obs::wall_now_ns();
-      // The daemon stamped its anchor somewhere inside our RTT window; it
-      // should read our midpoint, so any difference is clock skew.
-      const std::int64_t skew =
-          static_cast<std::int64_t>(snapshot.wall_ns) -
-          static_cast<std::int64_t>(sent_wall + (recv_wall - sent_wall) / 2);
-      Source source;
-      source.label = snapshot.role == net::NodeRole::kRouter
-                         ? "router"
-                         : "backend-" + std::to_string(snapshot.backend_id);
-      source.wall_offset_ns = static_cast<std::int64_t>(snapshot.wall_ns) -
-                              static_cast<std::int64_t>(snapshot.steady_ns) -
-                              skew;
-      source.dropped = snapshot.dropped;
-      source.spans = std::move(snapshot.spans);
-      const bool more = snapshot.remaining > 0 && !source.spans.empty();
-      if (!source.spans.empty()) out.push_back(std::move(source));
-      if (!more) return true;
-    }
+    net::drain_trace(
+        endpoint.host, endpoint.port,
+        [&out](net::TraceSnapshot& chunk, std::int64_t wall_offset_ns) {
+          if (chunk.spans.empty()) return;
+          Source source;
+          source.label = chunk.label();
+          source.wall_offset_ns = wall_offset_ns;
+          source.dropped = chunk.dropped;
+          source.spans = std::move(chunk.spans);
+          out.push_back(std::move(source));
+        });
+    return true;
   } catch (const std::exception& e) {
     error = e.what();
     return false;

@@ -1,69 +1,48 @@
 #include "core/placement_epoch.hpp"
 
+#include "codec/codec.hpp"
+
 namespace rlb::core {
 
 namespace {
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-constexpr std::size_t kDeltaHeaderSize = 12;  // u64 epoch + u32 count
-constexpr std::size_t kRemapSize = 16;        // u64 chunk + u32 from + u32 to
+constexpr std::size_t kRemapSize = 16;  // u64 chunk + u32 from + u32 to
 
 }  // namespace
 
 void encode_placement_delta(const PlacementDelta& delta,
                             std::vector<std::uint8_t>& out) {
-  put_u64(out, delta.epoch);
-  put_u32(out, static_cast<std::uint32_t>(delta.remaps.size()));
+  codec::Writer w(out);
+  w.u64(delta.epoch);
+  w.u32(static_cast<std::uint32_t>(delta.remaps.size()));
   for (const ChunkRemap& remap : delta.remaps) {
-    put_u64(out, remap.chunk);
-    put_u32(out, remap.from);
-    put_u32(out, remap.to);
+    w.u64(remap.chunk);
+    w.u32(remap.from);
+    w.u32(remap.to);
   }
 }
 
 bool decode_placement_delta(const std::uint8_t* data, std::size_t size,
                             PlacementDelta& out) {
-  if (size < kDeltaHeaderSize) return false;
-  const std::uint64_t epoch = get_u64(data);
-  const std::uint32_t count = get_u32(data + 8);
-  if (size != kDeltaHeaderSize + static_cast<std::size_t>(count) * kRemapSize) {
+  codec::Reader r(data, size);
+  const std::uint64_t epoch = r.u64();
+  const std::uint32_t count = r.u32();
+  // Exact size: a count that does not match the bytes left is malformed,
+  // checked before anything is allocated or `out` is touched.
+  if (!r.ok() || r.remaining() != std::size_t{count} * kRemapSize) {
     return false;
   }
   out.epoch = epoch;
   out.remaps.clear();
   out.remaps.reserve(count);
-  const std::uint8_t* p = data + kDeltaHeaderSize;
-  for (std::uint32_t i = 0; i < count; ++i, p += kRemapSize) {
+  for (std::uint32_t i = 0; i < count; ++i) {
     ChunkRemap remap;
-    remap.chunk = get_u64(p);
-    remap.from = get_u32(p + 8);
-    remap.to = get_u32(p + 12);
+    remap.chunk = r.u64();
+    remap.from = r.u32();
+    remap.to = r.u32();
     out.remaps.push_back(remap);
   }
-  return true;
+  return r.done();
 }
 
 EpochedPlacement::EpochedPlacement(std::size_t servers, unsigned replication,

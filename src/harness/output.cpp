@@ -28,9 +28,10 @@ std::vector<std::pair<std::string, std::string>> g_json_values;  // pre-encoded
 std::vector<report::Table> g_json_tables;
 bool g_json_written = false;
 
-/// JSON string escaping (control chars, quotes, backslash).
-std::string json_escape(const std::string& s) {
-  std::string out;
+/// `s` as a JSON string literal: quoted, with control chars, quotes and
+/// backslashes escaped.
+std::string json_quote(const std::string& s) {
+  std::string out = "\"";
   out.reserve(s.size() + 2);
   for (const char c : s) {
     switch (c) {
@@ -50,6 +51,7 @@ std::string json_escape(const std::string& s) {
         }
     }
   }
+  out += '"';
   return out;
 }
 
@@ -72,7 +74,7 @@ std::string json_cell(const std::string& cell) {
       return cell;  // a valid JSON number literal as-is
     }
   }
-  return "\"" + json_escape(cell) + "\"";
+  return json_quote(cell);
 }
 
 void write_json_at_exit() { write_json(); }
@@ -200,7 +202,7 @@ void set_json_experiment(const std::string& id) { g_json_experiment = id; }
 
 void json_value(const std::string& key, const std::string& value) {
   if (!json_enabled()) return;
-  g_json_values.emplace_back(key, "\"" + json_escape(value) + "\"");
+  g_json_values.emplace_back(key, json_quote(value));
 }
 
 void json_value(const std::string& key, double value) {
@@ -223,12 +225,12 @@ void write_json() {
     std::cerr << "rlb: cannot write json file '" << g_json_path << "'\n";
     return;
   }
-  os << "{\n  \"experiment\": \"" << json_escape(g_json_experiment) << "\",\n";
+  os << "{\n  \"experiment\": " << json_quote(g_json_experiment) << ",\n";
   os << "  \"values\": {";
   for (std::size_t i = 0; i < g_json_values.size(); ++i) {
     if (i) os << ", ";
-    os << "\"" << json_escape(g_json_values[i].first)
-       << "\": " << g_json_values[i].second;
+    os << json_quote(g_json_values[i].first) << ": "
+       << g_json_values[i].second;
   }
   os << "},\n  \"tables\": [\n";
   for (std::size_t t = 0; t < g_json_tables.size(); ++t) {
@@ -236,7 +238,7 @@ void write_json() {
     os << "    {\"headers\": [";
     for (std::size_t c = 0; c < table.headers().size(); ++c) {
       if (c) os << ", ";
-      os << "\"" << json_escape(table.headers()[c]) << "\"";
+      os << json_quote(table.headers()[c]);
     }
     os << "], \"rows\": [";
     for (std::size_t r = 0; r < table.rows().size(); ++r) {

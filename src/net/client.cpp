@@ -88,7 +88,7 @@ void Client::set_recv_timeout_ms(std::uint64_t ms) {
 }
 
 void Client::send_request(std::uint64_t request_id, std::uint64_t key) {
-  encode_request(RequestMsg{request_id, key}, send_buffer_);
+  encode_request(RequestMsg{request_id, key, {}}, send_buffer_);
 }
 
 void Client::send_request(std::uint64_t request_id, std::uint64_t key,
@@ -200,24 +200,21 @@ ReadOutcome Client::next_frame(bool allow_timeout) {
   }
 }
 
-bool Client::read_response(ResponseMsg& out) {
-  const ReadOutcome outcome = try_read_response(out);
+bool Client::blocking(ReadOutcome outcome) {
   if (outcome == ReadOutcome::kTimeout) {
     throw std::runtime_error("Client: read timed out");
   }
   return outcome == ReadOutcome::kFrame;
 }
 
+bool Client::read_response(ResponseMsg& out) {
+  return blocking(try_read_response(out));
+}
+
 ReadOutcome Client::try_read_response(ResponseMsg& out) {
   const ReadOutcome outcome = next_frame(/*allow_timeout=*/true);
-  if (outcome != ReadOutcome::kFrame) return outcome;
-  RequestMsg request;
-  const Decoded decoded =
-      decode_payload(payload_.data(), payload_.size(), request, out);
-  if (decoded != Decoded::kResponse) {
-    throw ProtocolError("Client: unexpected frame from server");
-  }
-  return ReadOutcome::kFrame;
+  if (outcome == ReadOutcome::kFrame) decode_response(out);
+  return outcome;
 }
 
 bool Client::poll_buffered_response(ResponseMsg& out) {
@@ -225,13 +222,39 @@ bool Client::poll_buffered_response(ResponseMsg& out) {
     if (decoder_.error()) throw ProtocolError("Client: bad frame length");
     return false;
   }
+  decode_response(out);
+  return true;
+}
+
+void Client::decode_response(ResponseMsg& out) {
   RequestMsg request;
-  const Decoded decoded =
-      decode_payload(payload_.data(), payload_.size(), request, out);
-  if (decoded != Decoded::kResponse) {
+  if (decode_payload(payload_.data(), payload_.size(), request, out) !=
+      Decoded::kResponse) {
     throw ProtocolError("Client: unexpected frame from server");
   }
-  return true;
+}
+
+template <typename Msg>
+ReadOutcome Client::try_read_admin(
+    MsgType type, const char* name,
+    bool (*decode)(const std::uint8_t*, std::size_t, Msg&), Msg& out) {
+  const ReadOutcome outcome = next_frame(/*allow_timeout=*/true);
+  if (outcome != ReadOutcome::kFrame) return outcome;
+  if (payload_.empty() || payload_[0] != static_cast<std::uint8_t>(type)) {
+    throw ProtocolError(std::string("Client: expected ") + name + " frame");
+  }
+  if (!decode(payload_.data(), payload_.size(), out)) {
+    // A well-formed STATS_RESP header with a different version word is
+    // skew, not corruption — report which version the peer speaks.
+    std::uint32_t peer_version = 0;
+    if (type == MsgType::kStatsResponse &&
+        peek_stats_version(payload_.data(), payload_.size(), peer_version) &&
+        peer_version != kStatsVersion) {
+      throw StatsVersionMismatch(peer_version);
+    }
+    throw ProtocolError(std::string("Client: bad ") + name + " payload");
+  }
+  return ReadOutcome::kFrame;
 }
 
 void Client::send_stats_request(std::uint32_t flags, std::uint64_t epoch) {
@@ -239,35 +262,12 @@ void Client::send_stats_request(std::uint32_t flags, std::uint64_t epoch) {
 }
 
 bool Client::read_stats_response(StatsSnapshot& out) {
-  const ReadOutcome outcome = try_read_stats_response(out);
-  if (outcome == ReadOutcome::kTimeout) {
-    throw std::runtime_error("Client: read timed out");
-  }
-  return outcome == ReadOutcome::kFrame;
+  return blocking(try_read_stats_response(out));
 }
 
 ReadOutcome Client::try_read_stats_response(StatsSnapshot& out) {
-  const ReadOutcome outcome = next_frame(/*allow_timeout=*/true);
-  if (outcome != ReadOutcome::kFrame) return outcome;
-  RequestMsg request;
-  ResponseMsg response;
-  StatsRequestMsg stats_request;
-  const Decoded decoded = decode_payload(payload_.data(), payload_.size(),
-                                         request, response, stats_request);
-  if (decoded != Decoded::kStatsResponse) {
-    throw ProtocolError("Client: expected STATS_RESP frame");
-  }
-  if (!decode_stats_payload(payload_.data(), payload_.size(), out)) {
-    // A well-formed header with a different version word is skew, not
-    // corruption — report which version the peer speaks.
-    std::uint32_t peer_version = 0;
-    if (peek_stats_version(payload_.data(), payload_.size(), peer_version) &&
-        peer_version != kStatsVersion) {
-      throw StatsVersionMismatch(peer_version);
-    }
-    throw ProtocolError("Client: bad STATS_RESP snapshot");
-  }
-  return ReadOutcome::kFrame;
+  return try_read_admin(MsgType::kStatsResponse, "STATS_RESP",
+                        &decode_stats_payload, out);
 }
 
 void Client::send_trace_request(std::uint32_t flags) {
@@ -275,24 +275,12 @@ void Client::send_trace_request(std::uint32_t flags) {
 }
 
 bool Client::read_trace_response(TraceSnapshot& out) {
-  const ReadOutcome outcome = try_read_trace_response(out);
-  if (outcome == ReadOutcome::kTimeout) {
-    throw std::runtime_error("Client: read timed out");
-  }
-  return outcome == ReadOutcome::kFrame;
+  return blocking(try_read_trace_response(out));
 }
 
 ReadOutcome Client::try_read_trace_response(TraceSnapshot& out) {
-  const ReadOutcome outcome = next_frame(/*allow_timeout=*/true);
-  if (outcome != ReadOutcome::kFrame) return outcome;
-  if (payload_.empty() ||
-      payload_[0] != static_cast<std::uint8_t>(MsgType::kTraceResponse)) {
-    throw ProtocolError("Client: expected TRACE_RESP frame");
-  }
-  if (!decode_trace_payload(payload_.data(), payload_.size(), out)) {
-    throw ProtocolError("Client: bad TRACE_RESP snapshot");
-  }
-  return ReadOutcome::kFrame;
+  return try_read_admin(MsgType::kTraceResponse, "TRACE_RESP",
+                        &decode_trace_payload, out);
 }
 
 void Client::send_events_request(std::uint64_t cursor, std::uint32_t flags) {
@@ -300,24 +288,12 @@ void Client::send_events_request(std::uint64_t cursor, std::uint32_t flags) {
 }
 
 bool Client::read_events_response(EventsSnapshot& out) {
-  const ReadOutcome outcome = try_read_events_response(out);
-  if (outcome == ReadOutcome::kTimeout) {
-    throw std::runtime_error("Client: read timed out");
-  }
-  return outcome == ReadOutcome::kFrame;
+  return blocking(try_read_events_response(out));
 }
 
 ReadOutcome Client::try_read_events_response(EventsSnapshot& out) {
-  const ReadOutcome outcome = next_frame(/*allow_timeout=*/true);
-  if (outcome != ReadOutcome::kFrame) return outcome;
-  if (payload_.empty() ||
-      payload_[0] != static_cast<std::uint8_t>(MsgType::kEventsResponse)) {
-    throw ProtocolError("Client: expected EVENTS_RESP frame");
-  }
-  if (!decode_events_payload(payload_.data(), payload_.size(), out)) {
-    throw ProtocolError("Client: bad EVENTS_RESP batch");
-  }
-  return ReadOutcome::kFrame;
+  return try_read_admin(MsgType::kEventsResponse, "EVENTS_RESP",
+                        &decode_events_payload, out);
 }
 
 void Client::send_migrate(const MigrateMsg& msg) {
@@ -333,20 +309,12 @@ void Client::send_migrate_data(const MigrateDataMsg& msg) {
 }
 
 bool Client::read_migrate_ack(MigrateAckMsg& out) {
-  const ReadOutcome outcome = try_read_migrate_ack(out);
-  if (outcome == ReadOutcome::kTimeout) {
-    throw std::runtime_error("Client: read timed out");
-  }
-  return outcome == ReadOutcome::kFrame;
+  return blocking(try_read_migrate_ack(out));
 }
 
 ReadOutcome Client::try_read_migrate_ack(MigrateAckMsg& out) {
-  const ReadOutcome outcome = next_frame(/*allow_timeout=*/true);
-  if (outcome != ReadOutcome::kFrame) return outcome;
-  if (!decode_migrate_ack(payload_.data(), payload_.size(), out)) {
-    throw ProtocolError("Client: expected MIGRATE_ACK frame");
-  }
-  return ReadOutcome::kFrame;
+  return try_read_admin(MsgType::kMigrateAck, "MIGRATE_ACK",
+                        &decode_migrate_ack, out);
 }
 
 void Client::close_fd() noexcept {

@@ -202,6 +202,19 @@ class Client {
   void close_fd() noexcept;  // drops the socket, keeps the send buffer
   /// Shared read loop: fills payload_ with the next frame.
   ReadOutcome next_frame(bool allow_timeout);
+  /// Blocking form of a try_read_* outcome: throws on kTimeout, false on
+  /// kEof.
+  static bool blocking(ReadOutcome outcome);
+  /// Decode payload_ as a RESPONSE; throws ProtocolError otherwise.
+  void decode_response(ResponseMsg& out);
+  /// The one read path for admin and repair responses: the next frame
+  /// must be a `type` frame that `decode` accepts; throws ProtocolError
+  /// (StatsVersionMismatch for a version-skewed STATS_RESP) otherwise.
+  template <typename Msg>
+  ReadOutcome try_read_admin(MsgType type, const char* name,
+                             bool (*decode)(const std::uint8_t*, std::size_t,
+                                            Msg&),
+                             Msg& out);
 
   int fd_ = -1;
   std::string host_;

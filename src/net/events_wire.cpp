@@ -9,128 +9,48 @@
 
 namespace rlb::net {
 
-namespace {
-
-// Little-endian primitives, mirroring stats.cpp / trace_wire.cpp.
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
-/// Bounds-checked sequential reader (same shape as the stats.cpp Cursor).
-class Cursor {
- public:
-  Cursor(const std::uint8_t* data, std::size_t size)
-      : data_(data), size_(size) {}
-
-  bool u8(std::uint8_t& v) {
-    if (!has(1)) return false;
-    v = data_[pos_];
-    pos_ += 1;
-    return true;
-  }
-
-  bool u32(std::uint32_t& v) {
-    if (!has(4)) return false;
-    v = 0;
-    for (int i = 3; i >= 0; --i) v = (v << 8) | data_[pos_ + i];
-    pos_ += 4;
-    return true;
-  }
-
-  bool u64(std::uint64_t& v) {
-    if (!has(8)) return false;
-    v = 0;
-    for (int i = 7; i >= 0; --i) v = (v << 8) | data_[pos_ + i];
-    pos_ += 8;
-    return true;
-  }
-
-  bool short_str(std::string& v) {
-    std::uint8_t n = 0;
-    if (!u8(n) || !has(n)) return false;
-    v.assign(reinterpret_cast<const char*>(data_ + pos_), n);
-    pos_ += n;
-    return true;
-  }
-
-  [[nodiscard]] bool exhausted() const { return pos_ == size_; }
-
- private:
-  [[nodiscard]] bool has(std::size_t n) const { return size_ - pos_ >= n; }
-
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
 void encode_events_payload(const EventsSnapshot& snapshot,
                            std::vector<std::uint8_t>& out) {
-  out.push_back(static_cast<std::uint8_t>(MsgType::kEventsResponse));
-  put_u32(out, snapshot.version);
-  out.push_back(static_cast<std::uint8_t>(snapshot.role));
-  put_u32(out, snapshot.backend_id);
-  put_u64(out, snapshot.steady_ns);
-  put_u64(out, snapshot.wall_ns);
-  put_u64(out, snapshot.dropped);
-  put_u64(out, snapshot.next_cursor);
-  put_u64(out, snapshot.remaining);
+  codec::Writer w(out);
+  encode_envelope(w, MsgType::kEventsResponse, snapshot);
+  w.u64(snapshot.next_cursor);
+  w.u64(snapshot.remaining);
   const std::size_t count =
       std::min(snapshot.events.size(), kMaxEventsPerResponse);
-  put_u32(out, static_cast<std::uint32_t>(count));
+  w.u32(static_cast<std::uint32_t>(count));
   for (std::size_t i = 0; i < count; ++i) {
     const EventRecord& e = snapshot.events[i];
-    put_u64(out, e.seq);
-    put_u64(out, e.steady_ns);
-    put_u64(out, e.wall_ns);
-    out.push_back(e.type);
-    put_u64(out, e.a0);
-    put_u64(out, e.a1);
-    const std::size_t n = std::min<std::size_t>(e.detail.size(), 0xff);
-    out.push_back(static_cast<std::uint8_t>(n));
-    out.insert(out.end(), e.detail.begin(), e.detail.begin() + n);
+    w.u64(e.seq);
+    w.u64(e.steady_ns);
+    w.u64(e.wall_ns);
+    w.u8(e.type);
+    w.u64(e.a0);
+    w.u64(e.a1);
+    w.str8(e.detail);
   }
 }
 
 bool decode_events_payload(const std::uint8_t* data, std::size_t size,
                            EventsSnapshot& out) {
-  if (size == 0 ||
-      data[0] != static_cast<std::uint8_t>(MsgType::kEventsResponse)) {
+  codec::Reader r(data, size);
+  if (!decode_envelope(r, MsgType::kEventsResponse, kEventsVersion, out)) {
     return false;
   }
-  Cursor c(data + 1, size - 1);
-  if (!c.u32(out.version)) return false;
-  if (out.version != kEventsVersion) return false;
-  std::uint8_t role = 0;
-  if (!c.u8(role)) return false;
-  if (role > static_cast<std::uint8_t>(NodeRole::kRouter)) return false;
-  out.role = static_cast<NodeRole>(role);
-  if (!c.u32(out.backend_id) || !c.u64(out.steady_ns) ||
-      !c.u64(out.wall_ns) || !c.u64(out.dropped) ||
-      !c.u64(out.next_cursor) || !c.u64(out.remaining)) {
-    return false;
-  }
-  std::uint32_t count = 0;
-  if (!c.u32(count)) return false;
+  out.next_cursor = r.u64();
+  out.remaining = r.u64();
+  const std::uint32_t count = r.u32();
   if (count > kMaxEventsPerResponse) return false;
   out.events.assign(count, EventRecord{});
   for (EventRecord& e : out.events) {
-    if (!c.u64(e.seq) || !c.u64(e.steady_ns) || !c.u64(e.wall_ns) ||
-        !c.u8(e.type) || !c.u64(e.a0) || !c.u64(e.a1) ||
-        !c.short_str(e.detail)) {
-      return false;
-    }
+    e.seq = r.u64();
+    e.steady_ns = r.u64();
+    e.wall_ns = r.u64();
+    e.type = r.u8();
+    e.a0 = r.u64();
+    e.a1 = r.u64();
+    e.detail = r.str8();
   }
-  return c.exhausted();
+  return r.done();
 }
 
 EventsSnapshot make_events_snapshot(NodeRole role, std::uint32_t backend_id,

@@ -3,11 +3,12 @@
 //
 // An EVENTS request (net/wire.hpp, u8 type=10) carries the scraper's
 // cursor — the highest journal sequence it has already seen — and the
-// answer is one EVENTS_RESP frame with the events after it.  The encoding
-// follows STATS_RESP conventions (net/stats.hpp): u8 type=11, u32
-// version, then fields in declaration order — little-endian fixed-width
-// integers, u8 length + bytes for the short detail strings, u32 count +
-// entries for the event list, exact payload consumption required.
+// answer is one EVENTS_RESP frame with the events after it: the drain
+// envelope (net/stats.hpp: u8 type=11, u32 version, role, backend_id,
+// clock anchor, dropped), then u64 next_cursor, u64 remaining, u32 event
+// count and the events, in the byte format of codec/codec.hpp (detail
+// strings as u8 length + bytes).  Decoders require exact payload
+// consumption.
 //
 // Unlike TRACE, reads do NOT drain: the journal ring keeps the last N
 // events and any number of scrapers resume independently by cursor
@@ -49,17 +50,12 @@ struct EventRecord {
   std::string detail;
 };
 
-/// One EVENTS_RESP frame's worth of journal events.
-struct EventsSnapshot {
-  std::uint32_t version = kEventsVersion;
-  NodeRole role = NodeRole::kBackend;
-  std::uint32_t backend_id = 0;
-  /// Clock anchor sampled at encode time.
-  std::uint64_t steady_ns = 0;
-  std::uint64_t wall_ns = 0;
-  /// Events that wrapped out of the ring between the request's cursor and
-  /// the oldest event returned (0 = gapless resume).
-  std::uint64_t dropped = 0;
+/// One EVENTS_RESP frame's worth of journal events, after the drain
+/// envelope (net/stats.hpp).  `dropped` counts events that wrapped out of
+/// the ring between the request's cursor and the oldest event returned
+/// (0 = gapless resume).
+struct EventsSnapshot : DrainEnvelope {
+  EventsSnapshot() { version = kEventsVersion; }
   /// Cursor for the next request (seq of the last event returned, or the
   /// request cursor when the batch is empty).
   std::uint64_t next_cursor = 0;

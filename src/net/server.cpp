@@ -8,11 +8,7 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
-#if defined(RLB_NET_USE_EPOLL)
 #include <sys/epoll.h>
-#else
-#include <poll.h>
-#endif
 
 #include <atomic>
 #include <cerrno>
@@ -112,9 +108,7 @@ struct NetServer::Impl {
   int listen_fd = -1;
   int wake_read = -1;
   int wake_write = -1;
-#if defined(RLB_NET_USE_EPOLL)
   int epoll_fd = -1;
-#endif
   std::thread loop_thread;
   std::atomic<bool> running{false};
   std::atomic<bool> stopping{false};
@@ -130,7 +124,7 @@ struct NetServer::Impl {
   /// Senders add under stage_mu; the loop subtracts what it writes or
   /// drops.  Drives the graceful-stop flush without scanning conns.
   std::atomic<std::int64_t> pending_out{0};
-  /// True only while the loop is (about to be) blocked in epoll/poll.
+  /// True only while the loop is (about to be) blocked in epoll_wait.
   /// Senders skip the wake-pipe syscall when the loop is awake anyway —
   /// under load that removes a write+read syscall pair per splice cycle.
   /// Dekker pairing (both seq_cst): the sender stores stage_dirty then
@@ -141,19 +135,60 @@ struct NetServer::Impl {
 
   // Event-loop-private scratch.
   std::vector<ServerRequest> batch;
-#if !defined(RLB_NET_USE_EPOLL)
-  std::vector<pollfd> pollfds;
-  std::vector<std::size_t> poll_slots;
-#endif
 
   void wake() {
     const char byte = 1;
     [[maybe_unused]] const ssize_t n = ::write(wake_write, &byte, 1);
   }
 
+  /// The one send path: append a frame to a connection's staging buffer
+  /// from any thread.  `encode(staged)` appends the frame, or returns
+  /// false to append nothing.  False when the token's connection is gone
+  /// or the frame does not encode.
+  template <typename Encode>
+  bool stage(std::uint64_t conn_token, Encode&& encode) {
+    const auto slot = static_cast<std::size_t>(conn_token & 0xffffffffu);
+    const auto gen = static_cast<std::uint32_t>(conn_token >> 32);
+    if (slot >= conns.size()) return false;
+    Conn& conn = *conns[slot];
+    {
+      std::lock_guard lock(conn.stage_mu);
+      if (!conn.open || conn.gen != gen) return false;
+      const std::size_t before = conn.staged.size();
+      if (!encode(conn.staged)) return false;
+      pending_out.fetch_add(
+          static_cast<std::int64_t>(conn.staged.size() - before),
+          std::memory_order_relaxed);
+    }
+    // Only the clean -> dirty edge needs a wake (the loop re-arms the flag
+    // before splicing), and only when the loop is actually blocked — an
+    // awake loop re-scans dirty flags before its next sleep (seq_cst
+    // pairing documented at loop_asleep).
+    if (!conn.stage_dirty.exchange(true, std::memory_order_seq_cst) &&
+        loop_asleep.load(std::memory_order_seq_cst)) {
+      wake();
+    }
+    return true;
+  }
+
+  /// Stage an admin response: the snapshot is encoded into a pooled
+  /// buffer outside the connection lock, then framed under it.
+  template <typename Snapshot>
+  bool stage_admin(std::uint64_t conn_token, const Snapshot& snapshot,
+                   void (*encode)(const Snapshot&,
+                                  std::vector<std::uint8_t>&)) {
+    std::vector<std::uint8_t> payload = global_buffer_pool().acquire();
+    encode(snapshot, payload);
+    const bool staged = stage(conn_token, [&](std::vector<std::uint8_t>& out) {
+      return encode_admin_response_frame(payload, out);
+    });
+    global_buffer_pool().release(std::move(payload));
+    return staged;
+  }
+
   bool loop_open(std::size_t slot) const { return conns[slot]->fd >= 0; }
 
-  void close_conn(std::size_t slot, bool error) {
+  void close_conn(std::size_t slot, [[maybe_unused]] bool error) {
     Conn& conn = *conns[slot];
     if (conn.fd < 0) return;
     std::int64_t dropped = 0;
@@ -213,7 +248,6 @@ struct NetServer::Impl {
         conn.open = true;
       }
       conn.stage_dirty.store(false, std::memory_order_relaxed);
-#if defined(RLB_NET_USE_EPOLL)
       epoll_event ev{};
       ev.events = EPOLLIN | EPOLLOUT | EPOLLRDHUP | EPOLLET;
       ev.data.u64 = static_cast<std::uint64_t>(slot);
@@ -221,7 +255,6 @@ struct NetServer::Impl {
         close_conn(slot, /*error=*/true);
         continue;
       }
-#endif
       stats.connections_accepted.fetch_add(1, std::memory_order_relaxed);
       accept_counter.add();
       RLB_TRACE_EVENT(obs::EventKind::kNet, "net.accept", slot, conn.gen);
@@ -488,7 +521,6 @@ struct NetServer::Impl {
     if (!ok) close_conn(slot, /*error=*/false);
   }
 
-#if defined(RLB_NET_USE_EPOLL)
   void run_loop() {
     constexpr std::uint64_t kWakeTag = UINT64_MAX;
     constexpr std::uint64_t kListenTag = UINT64_MAX - 1;
@@ -524,60 +556,6 @@ struct NetServer::Impl {
     }
     close_all();
   }
-#else
-  void run_loop() {
-    while (running.load(std::memory_order_acquire)) {
-      const bool draining = stopping.load(std::memory_order_acquire);
-      if (draining && pending_out.load(std::memory_order_acquire) <= 0) break;
-      // Splice before arming so POLLOUT reflects true pending state.
-      service_dirty();
-      pollfds.clear();
-      poll_slots.clear();
-      if (!draining) {
-        pollfds.push_back({listen_fd, POLLIN, 0});
-        poll_slots.push_back(SIZE_MAX);
-      }
-      pollfds.push_back({wake_read, POLLIN, 0});
-      poll_slots.push_back(SIZE_MAX);
-      for (std::size_t i = 0; i < conns.size(); ++i) {
-        const Conn& conn = *conns[i];
-        if (conn.fd < 0) continue;
-        short events = POLLIN;
-        if (conn.front_off < conn.front.size() || !conn.back.empty()) {
-          events |= POLLOUT;
-        }
-        pollfds.push_back({conn.fd, events, 0});
-        poll_slots.push_back(i);
-      }
-      const int timeout = arm_sleep(100);
-      const int ready = ::poll(pollfds.data(),
-                               static_cast<nfds_t>(pollfds.size()), timeout);
-      loop_asleep.store(false, std::memory_order_seq_cst);
-      if (ready < 0) {
-        if (errno == EINTR) continue;
-        break;
-      }
-      for (std::size_t i = 0; i < pollfds.size(); ++i) {
-        const pollfd& pfd = pollfds[i];
-        if (pfd.revents == 0) continue;
-        if (pfd.fd == wake_read) {
-          drain_wake_pipe();
-          continue;
-        }
-        if (pfd.fd == listen_fd) {
-          accept_ready();
-          continue;
-        }
-        handle_conn_event(poll_slots[i],
-                          (pfd.revents & (POLLERR | POLLNVAL)) != 0,
-                          (pfd.revents & POLLOUT) != 0,
-                          (pfd.revents & (POLLIN | POLLHUP)) != 0);
-      }
-      service_dirty();
-    }
-    close_all();
-  }
-#endif
 
   void close_all() {
     for (std::size_t slot = 0; slot < conns.size(); ++slot) {
@@ -655,25 +633,35 @@ void NetServer::start() {
     impl_->free_slots.push_back(i - 1);
   }
 
-#if defined(RLB_NET_USE_EPOLL)
-  impl_->epoll_fd = ::epoll_create1(0);
-  if (impl_->epoll_fd < 0) {
+  // A server whose wake pipe or listen socket is not registered would
+  // never wake or accept, so every setup failure throws.
+  const auto fail = [this](const char* what) {
+    if (impl_->epoll_fd >= 0) ::close(impl_->epoll_fd);
+    impl_->epoll_fd = -1;
     ::close(impl_->listen_fd);
     impl_->listen_fd = -1;
     ::close(impl_->wake_read);
     ::close(impl_->wake_write);
     impl_->wake_read = impl_->wake_write = -1;
-    throw std::runtime_error("NetServer: epoll_create1 failed");
-  }
+    throw std::runtime_error(std::string("NetServer: ") + what + " failed: " +
+                             std::strerror(errno));
+  };
+  impl_->epoll_fd = ::epoll_create1(0);
+  if (impl_->epoll_fd < 0) fail("epoll_create1");
   epoll_event wake_ev{};
   wake_ev.events = EPOLLIN | EPOLLET;
   wake_ev.data.u64 = UINT64_MAX;
-  ::epoll_ctl(impl_->epoll_fd, EPOLL_CTL_ADD, impl_->wake_read, &wake_ev);
+  if (::epoll_ctl(impl_->epoll_fd, EPOLL_CTL_ADD, impl_->wake_read,
+                  &wake_ev) != 0) {
+    fail("epoll_ctl(wake pipe)");
+  }
   epoll_event listen_ev{};
   listen_ev.events = EPOLLIN | EPOLLET;
   listen_ev.data.u64 = UINT64_MAX - 1;
-  ::epoll_ctl(impl_->epoll_fd, EPOLL_CTL_ADD, impl_->listen_fd, &listen_ev);
-#endif
+  if (::epoll_ctl(impl_->epoll_fd, EPOLL_CTL_ADD, impl_->listen_fd,
+                  &listen_ev) != 0) {
+    fail("epoll_ctl(listen socket)");
+  }
 
   impl_->running.store(true, std::memory_order_release);
   impl_->stopping.store(false, std::memory_order_release);
@@ -703,40 +691,23 @@ void NetServer::stop(std::uint64_t flush_timeout_ms) {
     ::close(impl_->wake_write);
     impl_->wake_read = impl_->wake_write = -1;
   }
-#if defined(RLB_NET_USE_EPOLL)
   if (impl_->epoll_fd >= 0) {
     ::close(impl_->epoll_fd);
     impl_->epoll_fd = -1;
   }
-#endif
 }
 
 bool NetServer::send_response(std::uint64_t conn_token,
                               const ResponseMsg& response) {
   static obs::Counter response_counter("net.responses");
-  const std::size_t slot = static_cast<std::size_t>(conn_token & 0xffffffffu);
-  const auto gen = static_cast<std::uint32_t>(conn_token >> 32);
-  if (slot >= impl_->conns.size()) return false;
-  Impl::Conn& conn = *impl_->conns[slot];
-  {
-    std::lock_guard lock(conn.stage_mu);
-    if (!conn.open || conn.gen != gen) return false;
-    const std::size_t before = conn.staged.size();
-    encode_response(response, conn.staged);
-    impl_->pending_out.fetch_add(
-        static_cast<std::int64_t>(conn.staged.size() - before),
-        std::memory_order_relaxed);
+  if (!impl_->stage(conn_token, [&](std::vector<std::uint8_t>& out) {
+        encode_response(response, out);
+        return true;
+      })) {
+    return false;
   }
   impl_->stats.responses_sent.fetch_add(1, std::memory_order_relaxed);
   response_counter.add();
-  // Only the clean -> dirty edge needs a wake (the loop re-arms the flag
-  // before splicing), and only when the loop is actually blocked — an
-  // awake loop re-scans dirty flags before its next sleep (seq_cst
-  // pairing documented at loop_asleep).
-  if (!conn.stage_dirty.exchange(true, std::memory_order_seq_cst) &&
-      impl_->loop_asleep.load(std::memory_order_seq_cst)) {
-    impl_->wake();
-  }
   return true;
 }
 
@@ -750,27 +721,7 @@ void NetServer::set_stats_handler(StatsHandler on_stats) {
 
 bool NetServer::send_stats(std::uint64_t conn_token,
                            const StatsSnapshot& snapshot) {
-  std::vector<std::uint8_t> payload = global_buffer_pool().acquire();
-  encode_stats_payload(snapshot, payload);
-  const std::size_t slot = static_cast<std::size_t>(conn_token & 0xffffffffu);
-  const auto gen = static_cast<std::uint32_t>(conn_token >> 32);
-  if (slot >= impl_->conns.size()) return false;
-  Impl::Conn& conn = *impl_->conns[slot];
-  {
-    std::lock_guard lock(conn.stage_mu);
-    if (!conn.open || conn.gen != gen) return false;
-    const std::size_t before = conn.staged.size();
-    if (!encode_stats_response_frame(payload, conn.staged)) return false;
-    impl_->pending_out.fetch_add(
-        static_cast<std::int64_t>(conn.staged.size() - before),
-        std::memory_order_relaxed);
-  }
-  global_buffer_pool().release(std::move(payload));
-  if (!conn.stage_dirty.exchange(true, std::memory_order_seq_cst) &&
-      impl_->loop_asleep.load(std::memory_order_seq_cst)) {
-    impl_->wake();
-  }
-  return true;
+  return impl_->stage_admin(conn_token, snapshot, &encode_stats_payload);
 }
 
 void NetServer::set_trace_handler(TraceHandler on_trace) {
@@ -779,27 +730,7 @@ void NetServer::set_trace_handler(TraceHandler on_trace) {
 
 bool NetServer::send_trace(std::uint64_t conn_token,
                            const TraceSnapshot& snapshot) {
-  std::vector<std::uint8_t> payload = global_buffer_pool().acquire();
-  encode_trace_payload(snapshot, payload);
-  const std::size_t slot = static_cast<std::size_t>(conn_token & 0xffffffffu);
-  const auto gen = static_cast<std::uint32_t>(conn_token >> 32);
-  if (slot >= impl_->conns.size()) return false;
-  Impl::Conn& conn = *impl_->conns[slot];
-  {
-    std::lock_guard lock(conn.stage_mu);
-    if (!conn.open || conn.gen != gen) return false;
-    const std::size_t before = conn.staged.size();
-    if (!encode_trace_response_frame(payload, conn.staged)) return false;
-    impl_->pending_out.fetch_add(
-        static_cast<std::int64_t>(conn.staged.size() - before),
-        std::memory_order_relaxed);
-  }
-  global_buffer_pool().release(std::move(payload));
-  if (!conn.stage_dirty.exchange(true, std::memory_order_seq_cst) &&
-      impl_->loop_asleep.load(std::memory_order_seq_cst)) {
-    impl_->wake();
-  }
-  return true;
+  return impl_->stage_admin(conn_token, snapshot, &encode_trace_payload);
 }
 
 void NetServer::set_events_handler(EventsHandler on_events) {
@@ -808,27 +739,7 @@ void NetServer::set_events_handler(EventsHandler on_events) {
 
 bool NetServer::send_events(std::uint64_t conn_token,
                             const EventsSnapshot& snapshot) {
-  std::vector<std::uint8_t> payload = global_buffer_pool().acquire();
-  encode_events_payload(snapshot, payload);
-  const std::size_t slot = static_cast<std::size_t>(conn_token & 0xffffffffu);
-  const auto gen = static_cast<std::uint32_t>(conn_token >> 32);
-  if (slot >= impl_->conns.size()) return false;
-  Impl::Conn& conn = *impl_->conns[slot];
-  {
-    std::lock_guard lock(conn.stage_mu);
-    if (!conn.open || conn.gen != gen) return false;
-    const std::size_t before = conn.staged.size();
-    if (!encode_events_response_frame(payload, conn.staged)) return false;
-    impl_->pending_out.fetch_add(
-        static_cast<std::int64_t>(conn.staged.size() - before),
-        std::memory_order_relaxed);
-  }
-  global_buffer_pool().release(std::move(payload));
-  if (!conn.stage_dirty.exchange(true, std::memory_order_seq_cst) &&
-      impl_->loop_asleep.load(std::memory_order_seq_cst)) {
-    impl_->wake();
-  }
-  return true;
+  return impl_->stage_admin(conn_token, snapshot, &encode_events_payload);
 }
 
 void NetServer::set_migrate_handler(MigrateHandler on_migrate) {
@@ -841,24 +752,10 @@ void NetServer::set_migrate_data_handler(MigrateDataHandler on_migrate_data) {
 
 bool NetServer::send_migrate_ack(std::uint64_t conn_token,
                                  const MigrateAckMsg& ack) {
-  const std::size_t slot = static_cast<std::size_t>(conn_token & 0xffffffffu);
-  const auto gen = static_cast<std::uint32_t>(conn_token >> 32);
-  if (slot >= impl_->conns.size()) return false;
-  Impl::Conn& conn = *impl_->conns[slot];
-  {
-    std::lock_guard lock(conn.stage_mu);
-    if (!conn.open || conn.gen != gen) return false;
-    const std::size_t before = conn.staged.size();
-    encode_migrate_ack(ack, conn.staged);
-    impl_->pending_out.fetch_add(
-        static_cast<std::int64_t>(conn.staged.size() - before),
-        std::memory_order_relaxed);
-  }
-  if (!conn.stage_dirty.exchange(true, std::memory_order_seq_cst) &&
-      impl_->loop_asleep.load(std::memory_order_seq_cst)) {
-    impl_->wake();
-  }
-  return true;
+  return impl_->stage(conn_token, [&](std::vector<std::uint8_t>& out) {
+    encode_migrate_ack(ack, out);
+    return true;
+  });
 }
 
 ServerStats NetServer::stats() const {

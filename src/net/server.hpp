@@ -3,9 +3,9 @@
 // One event-loop thread owns every socket: it accepts connections, reads
 // and reassembles frames (net/wire.hpp), and hands decoded REQUEST
 // messages to the registered handler.  The readiness loop is epoll
-// edge-triggered on Linux (a portable poll() fallback sits behind the
-// RLB_NET_EPOLL CMake option); read, accept and write paths all drain to
-// EAGAIN as edge-triggering requires.
+// edge-triggered (the stack is Linux-only: it also relies on
+// MSG_NOSIGNAL); read, accept and write paths all drain to EAGAIN as
+// edge-triggering requires.
 //
 // There is no global lock on the data path.  Responses are pushed from
 // OTHER threads (the engine's shard workers) through send_response(),

@@ -12,128 +12,62 @@ namespace rlb::net {
 
 namespace {
 
-// Little-endian primitives, mirroring wire.cpp.  The snapshot body reuses
-// the same conventions so a STATS_RESP is one hexdump-friendly format.
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
+/// Bytes one encoded ShardStats row takes (u32 shard + 17 u64 counters).
+constexpr std::size_t kShardRowBytes = 4 + 17 * 8;
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>(v >> shift));
+void encode_shard(codec::Writer& w, const ShardStats& s) {
+  w.u32(s.shard);
+  for (const std::uint64_t v :
+       {s.submitted, s.completed, s.rejected_queue_full, s.rejected_all_down,
+        s.rejected_admission, s.rejected_drop, s.errors, s.ticks, s.batches,
+        s.batched_chunks, s.max_batch, s.inbound_depth, s.waiting_depth,
+        s.inflight, s.backlog, s.servers_down, s.step_ns}) {
+    w.u64(v);
   }
 }
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>(v >> shift));
+void decode_shard(codec::Reader& r, ShardStats& s) {
+  s.shard = r.u32();
+  for (std::uint64_t* v :
+       {&s.submitted, &s.completed, &s.rejected_queue_full,
+        &s.rejected_all_down, &s.rejected_admission, &s.rejected_drop,
+        &s.errors, &s.ticks, &s.batches, &s.batched_chunks, &s.max_batch,
+        &s.inbound_depth, &s.waiting_depth, &s.inflight, &s.backlog,
+        &s.servers_down, &s.step_ns}) {
+    *v = r.u64();
   }
 }
 
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
+void encode_latency(codec::Writer& w, const LatencyStats& h) {
+  w.u64(h.count);
+  w.u64(h.sum_us);
+  w.u64(h.max_us);
+  for (const std::uint64_t b : h.buckets) w.u64(b);
 }
 
-void put_string(std::vector<std::uint8_t>& out, const std::string& s) {
-  const auto n = static_cast<std::uint16_t>(
-      s.size() > 0xFFFF ? 0xFFFF : s.size());
-  put_u16(out, n);
-  out.insert(out.end(), s.begin(), s.begin() + n);
+void decode_latency(codec::Reader& r, LatencyStats& h) {
+  h.count = r.u64();
+  h.sum_us = r.u64();
+  h.max_us = r.u64();
+  for (std::uint64_t& b : h.buckets) b = r.u64();
 }
 
-/// Bounds-checked sequential reader over a payload body.
-class Cursor {
- public:
-  Cursor(const std::uint8_t* data, std::size_t size)
-      : data_(data), size_(size) {}
-
-  bool u8(std::uint8_t& v) {
-    if (!has(1)) return false;
-    v = data_[pos_];
-    pos_ += 1;
-    return true;
+void encode_repair(codec::Writer& w, const RepairStats& s) {
+  for (const std::uint64_t v :
+       {s.migrations_done, s.migrations_failed, s.migrations_inflight,
+        s.chunks_pending, s.bytes_sent, s.migrations_in, s.migrations_out,
+        s.migration_bytes_in, s.migration_bytes_out}) {
+    w.u64(v);
   }
-
-  bool u16(std::uint16_t& v) {
-    if (!has(2)) return false;
-    v = static_cast<std::uint16_t>(data_[pos_]) |
-        static_cast<std::uint16_t>(data_[pos_ + 1] << 8);
-    pos_ += 2;
-    return true;
-  }
-
-  bool u32(std::uint32_t& v) {
-    if (!has(4)) return false;
-    v = 0;
-    for (int i = 3; i >= 0; --i) v = (v << 8) | data_[pos_ + i];
-    pos_ += 4;
-    return true;
-  }
-
-  bool u64(std::uint64_t& v) {
-    if (!has(8)) return false;
-    v = 0;
-    for (int i = 7; i >= 0; --i) v = (v << 8) | data_[pos_ + i];
-    pos_ += 8;
-    return true;
-  }
-
-  bool f64(double& v) {
-    std::uint64_t bits = 0;
-    if (!u64(bits)) return false;
-    v = std::bit_cast<double>(bits);
-    return true;
-  }
-
-  bool str(std::string& v) {
-    std::uint16_t n = 0;
-    if (!u16(n) || !has(n)) return false;
-    v.assign(reinterpret_cast<const char*>(data_ + pos_), n);
-    pos_ += n;
-    return true;
-  }
-
-  [[nodiscard]] bool exhausted() const { return pos_ == size_; }
-
- private:
-  [[nodiscard]] bool has(std::size_t n) const { return size_ - pos_ >= n; }
-
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
-
-void put_shard(std::vector<std::uint8_t>& out, const ShardStats& s) {
-  put_u32(out, s.shard);
-  put_u64(out, s.submitted);
-  put_u64(out, s.completed);
-  put_u64(out, s.rejected_queue_full);
-  put_u64(out, s.rejected_all_down);
-  put_u64(out, s.rejected_admission);
-  put_u64(out, s.rejected_drop);
-  put_u64(out, s.errors);
-  put_u64(out, s.ticks);
-  put_u64(out, s.batches);
-  put_u64(out, s.batched_chunks);
-  put_u64(out, s.max_batch);
-  put_u64(out, s.inbound_depth);
-  put_u64(out, s.waiting_depth);
-  put_u64(out, s.inflight);
-  put_u64(out, s.backlog);
-  put_u64(out, s.servers_down);
-  put_u64(out, s.step_ns);
 }
 
-bool get_shard(Cursor& c, ShardStats& s) {
-  return c.u32(s.shard) && c.u64(s.submitted) && c.u64(s.completed) &&
-         c.u64(s.rejected_queue_full) && c.u64(s.rejected_all_down) &&
-         c.u64(s.rejected_admission) && c.u64(s.rejected_drop) &&
-         c.u64(s.errors) && c.u64(s.ticks) &&
-         c.u64(s.batches) && c.u64(s.batched_chunks) && c.u64(s.max_batch) &&
-         c.u64(s.inbound_depth) && c.u64(s.waiting_depth) &&
-         c.u64(s.inflight) && c.u64(s.backlog) && c.u64(s.servers_down) &&
-         c.u64(s.step_ns);
+void decode_repair(codec::Reader& r, RepairStats& s) {
+  for (std::uint64_t* v :
+       {&s.migrations_done, &s.migrations_failed, &s.migrations_inflight,
+        &s.chunks_pending, &s.bytes_sent, &s.migrations_in,
+        &s.migrations_out, &s.migration_bytes_in, &s.migration_bytes_out}) {
+    *v = r.u64();
+  }
 }
 
 }  // namespace
@@ -200,177 +134,170 @@ ShardStats StatsSnapshot::totals() const {
   return t;
 }
 
+void encode_admin_version(codec::Writer& w, MsgType type,
+                          std::uint32_t version) {
+  w.u8(static_cast<std::uint8_t>(type));
+  w.u32(version);
+}
+
+bool decode_admin_version(codec::Reader& r, MsgType type, std::uint32_t want,
+                          std::uint32_t& version) {
+  if (r.u8() != static_cast<std::uint8_t>(type)) return false;
+  version = r.u32();
+  return r.ok() && version == want;
+}
+
+void encode_node(codec::Writer& w, NodeRole role, std::uint32_t backend_id) {
+  w.u8(static_cast<std::uint8_t>(role));
+  w.u32(backend_id);
+}
+
+bool decode_node(codec::Reader& r, NodeRole& role, std::uint32_t& backend_id) {
+  const std::uint8_t byte = r.u8();
+  if (byte > static_cast<std::uint8_t>(NodeRole::kRouter)) r.fail();
+  role = static_cast<NodeRole>(byte);
+  backend_id = r.u32();
+  return r.ok();
+}
+
+std::string DrainEnvelope::label() const {
+  return role == NodeRole::kRouter ? "router"
+                                   : "backend-" + std::to_string(backend_id);
+}
+
+void encode_envelope(codec::Writer& w, MsgType type,
+                     const DrainEnvelope& env) {
+  encode_admin_version(w, type, env.version);
+  encode_node(w, env.role, env.backend_id);
+  w.u64(env.steady_ns);
+  w.u64(env.wall_ns);
+  w.u64(env.dropped);
+}
+
+bool decode_envelope(codec::Reader& r, MsgType type, std::uint32_t version,
+                     DrainEnvelope& env) {
+  if (!decode_admin_version(r, type, version, env.version) ||
+      !decode_node(r, env.role, env.backend_id)) {
+    return false;
+  }
+  env.steady_ns = r.u64();
+  env.wall_ns = r.u64();
+  env.dropped = r.u64();
+  return r.ok();
+}
+
 void encode_stats_payload(const StatsSnapshot& snapshot,
                           std::vector<std::uint8_t>& out) {
-  out.push_back(static_cast<std::uint8_t>(MsgType::kStatsResponse));
-  put_u32(out, snapshot.version);
-  put_u64(out, snapshot.uptime_ms);
-  out.push_back(static_cast<std::uint8_t>(snapshot.role));
-  put_u32(out, snapshot.backend_id);
-  put_string(out, snapshot.policy);
-  put_u32(out, snapshot.servers);
-  put_u32(out, snapshot.replication);
-  put_u32(out, snapshot.processing_rate);
-  put_u32(out, snapshot.queue_capacity);
-  put_u32(out, snapshot.shard_count);
+  codec::Writer w(out);
+  encode_admin_version(w, MsgType::kStatsResponse, snapshot.version);
+  w.u64(snapshot.uptime_ms);
+  encode_node(w, snapshot.role, snapshot.backend_id);
+  w.str16(snapshot.policy);
+  w.u32(snapshot.servers);
+  w.u32(snapshot.replication);
+  w.u32(snapshot.processing_rate);
+  w.u32(snapshot.queue_capacity);
+  w.u32(snapshot.shard_count);
 
-  put_u32(out, static_cast<std::uint32_t>(snapshot.shards.size()));
-  for (const ShardStats& s : snapshot.shards) put_shard(out, s);
-
-  put_u64(out, snapshot.latency.count);
-  put_u64(out, snapshot.latency.sum_us);
-  put_u64(out, snapshot.latency.max_us);
-  for (const std::uint64_t b : snapshot.latency.buckets) put_u64(out, b);
+  w.u32(static_cast<std::uint32_t>(snapshot.shards.size()));
+  for (const ShardStats& s : snapshot.shards) encode_shard(w, s);
 
   // v3: per-hop decomposition histograms, same layout as `latency`.
-  for (const LatencyStats* h : {&snapshot.hop_rtt, &snapshot.queue_wait}) {
-    put_u64(out, h->count);
-    put_u64(out, h->sum_us);
-    put_u64(out, h->max_us);
-    for (const std::uint64_t b : h->buckets) put_u64(out, b);
-  }
+  encode_latency(w, snapshot.latency);
+  encode_latency(w, snapshot.hop_rtt);
+  encode_latency(w, snapshot.queue_wait);
 
-  put_u32(out, static_cast<std::uint32_t>(snapshot.safe_set.size()));
+  w.u32(static_cast<std::uint32_t>(snapshot.safe_set.size()));
   for (const SafeSetLevelStats& level : snapshot.safe_set) {
-    put_u32(out, level.level);
-    put_u64(out, level.observed);
-    put_f64(out, level.bound);
-    put_f64(out, level.ratio);
+    w.u32(level.level);
+    w.u64(level.observed);
+    w.f64(level.bound);
+    w.f64(level.ratio);
   }
-  put_f64(out, snapshot.safe_worst_ratio);
-  put_u32(out, snapshot.safe_violated_level);
+  w.f64(snapshot.safe_worst_ratio);
+  w.u32(snapshot.safe_violated_level);
 
   // v4: placement epoch + repair counters.
-  put_u64(out, snapshot.placement_epoch);
-  put_u64(out, snapshot.repair.migrations_done);
-  put_u64(out, snapshot.repair.migrations_failed);
-  put_u64(out, snapshot.repair.migrations_inflight);
-  put_u64(out, snapshot.repair.chunks_pending);
-  put_u64(out, snapshot.repair.bytes_sent);
-  put_u64(out, snapshot.repair.migrations_in);
-  put_u64(out, snapshot.repair.migrations_out);
-  put_u64(out, snapshot.repair.migration_bytes_in);
-  put_u64(out, snapshot.repair.migration_bytes_out);
+  w.u64(snapshot.placement_epoch);
+  encode_repair(w, snapshot.repair);
 
   // v5: windowed deltas + active alerts (health plane).
-  put_u64(out, snapshot.window_span_ms);
-  put_u64(out, snapshot.win_submitted);
-  put_u64(out, snapshot.win_completed);
-  put_u64(out, snapshot.win_rejected);
-  for (const LatencyStats* h :
-       {&snapshot.win_latency, &snapshot.win_hop_rtt,
-        &snapshot.win_queue_wait}) {
-    put_u64(out, h->count);
-    put_u64(out, h->sum_us);
-    put_u64(out, h->max_us);
-    for (const std::uint64_t b : h->buckets) put_u64(out, b);
-  }
-  put_u32(out, static_cast<std::uint32_t>(snapshot.active_alerts.size()));
-  for (const std::string& alert : snapshot.active_alerts) {
-    put_string(out, alert);
-  }
+  w.u64(snapshot.window_span_ms);
+  w.u64(snapshot.win_submitted);
+  w.u64(snapshot.win_completed);
+  w.u64(snapshot.win_rejected);
+  encode_latency(w, snapshot.win_latency);
+  encode_latency(w, snapshot.win_hop_rtt);
+  encode_latency(w, snapshot.win_queue_wait);
+  w.u32(static_cast<std::uint32_t>(snapshot.active_alerts.size()));
+  for (const std::string& alert : snapshot.active_alerts) w.str16(alert);
 }
 
 bool decode_stats_payload(const std::uint8_t* data, std::size_t size,
                           StatsSnapshot& out) {
-  if (size == 0 ||
-      data[0] != static_cast<std::uint8_t>(MsgType::kStatsResponse)) {
+  codec::Reader r(data, size);
+  if (!decode_admin_version(r, MsgType::kStatsResponse, kStatsVersion,
+                            out.version)) {
     return false;
   }
-  Cursor c(data + 1, size - 1);
-  if (!c.u32(out.version)) return false;
-  if (out.version != kStatsVersion) return false;
-  std::uint8_t role = 0;
-  if (!c.u64(out.uptime_ms) || !c.u8(role)) return false;
-  if (role > static_cast<std::uint8_t>(NodeRole::kRouter)) return false;
-  out.role = static_cast<NodeRole>(role);
-  if (!c.u32(out.backend_id)) return false;
-  if (!c.str(out.policy) || !c.u32(out.servers) ||
-      !c.u32(out.replication) || !c.u32(out.processing_rate) ||
-      !c.u32(out.queue_capacity) || !c.u32(out.shard_count)) {
-    return false;
-  }
+  out.uptime_ms = r.u64();
+  if (!decode_node(r, out.role, out.backend_id)) return false;
+  out.policy = r.str16();
+  out.servers = r.u32();
+  out.replication = r.u32();
+  out.processing_rate = r.u32();
+  out.queue_capacity = r.u32();
+  out.shard_count = r.u32();
 
-  std::uint32_t shard_rows = 0;
-  if (!c.u32(shard_rows)) return false;
-  // A snapshot never carries more rows than fit in a max-size frame.
-  if (shard_rows > kMaxFramePayload / sizeof(ShardStats)) return false;
+  const std::uint32_t shard_rows = r.u32();
+  if (!r.fits(shard_rows, kShardRowBytes)) return false;
   out.shards.assign(shard_rows, ShardStats{});
-  for (ShardStats& s : out.shards) {
-    if (!get_shard(c, s)) return false;
-  }
+  for (ShardStats& s : out.shards) decode_shard(r, s);
 
-  for (LatencyStats* h :
-       {&out.latency, &out.hop_rtt, &out.queue_wait}) {
-    if (!c.u64(h->count) || !c.u64(h->sum_us) || !c.u64(h->max_us)) {
-      return false;
-    }
-    for (std::uint64_t& b : h->buckets) {
-      if (!c.u64(b)) return false;
-    }
-  }
+  decode_latency(r, out.latency);
+  decode_latency(r, out.hop_rtt);
+  decode_latency(r, out.queue_wait);
 
-  std::uint32_t levels = 0;
-  if (!c.u32(levels)) return false;
-  if (levels > kMaxFramePayload / sizeof(SafeSetLevelStats)) return false;
+  // u32 level + u64 observed + f64 bound + f64 ratio.
+  const std::uint32_t levels = r.u32();
+  if (!r.fits(levels, 28)) return false;
   out.safe_set.assign(levels, SafeSetLevelStats{});
   for (SafeSetLevelStats& level : out.safe_set) {
-    if (!c.u32(level.level) || !c.u64(level.observed) ||
-        !c.f64(level.bound) || !c.f64(level.ratio)) {
-      return false;
-    }
+    level.level = r.u32();
+    level.observed = r.u64();
+    level.bound = r.f64();
+    level.ratio = r.f64();
   }
-  if (!c.f64(out.safe_worst_ratio) || !c.u32(out.safe_violated_level)) {
-    return false;
-  }
+  out.safe_worst_ratio = r.f64();
+  out.safe_violated_level = r.u32();
 
-  if (!c.u64(out.placement_epoch) || !c.u64(out.repair.migrations_done) ||
-      !c.u64(out.repair.migrations_failed) ||
-      !c.u64(out.repair.migrations_inflight) ||
-      !c.u64(out.repair.chunks_pending) || !c.u64(out.repair.bytes_sent) ||
-      !c.u64(out.repair.migrations_in) || !c.u64(out.repair.migrations_out) ||
-      !c.u64(out.repair.migration_bytes_in) ||
-      !c.u64(out.repair.migration_bytes_out)) {
-    return false;
-  }
+  out.placement_epoch = r.u64();
+  decode_repair(r, out.repair);
 
-  // v5: windowed deltas + active alerts (health plane).
-  if (!c.u64(out.window_span_ms) || !c.u64(out.win_submitted) ||
-      !c.u64(out.win_completed) || !c.u64(out.win_rejected)) {
-    return false;
-  }
-  for (LatencyStats* h :
-       {&out.win_latency, &out.win_hop_rtt, &out.win_queue_wait}) {
-    if (!c.u64(h->count) || !c.u64(h->sum_us) || !c.u64(h->max_us)) {
-      return false;
-    }
-    for (std::uint64_t& b : h->buckets) {
-      if (!c.u64(b)) return false;
-    }
-  }
-  std::uint32_t alerts = 0;
-  if (!c.u32(alerts)) return false;
-  // Each alert is a short rule name; the payload can't carry more than
-  // one per two bytes (u16 length + at least nothing).
-  if (alerts > kMaxFramePayload / 2) return false;
+  out.window_span_ms = r.u64();
+  out.win_submitted = r.u64();
+  out.win_completed = r.u64();
+  out.win_rejected = r.u64();
+  decode_latency(r, out.win_latency);
+  decode_latency(r, out.win_hop_rtt);
+  decode_latency(r, out.win_queue_wait);
+
+  // Each alert is at least its u16 length.
+  const std::uint32_t alerts = r.u32();
+  if (!r.fits(alerts, 2)) return false;
   out.active_alerts.assign(alerts, std::string());
-  for (std::string& alert : out.active_alerts) {
-    if (!c.str(alert)) return false;
-  }
-  return c.exhausted();
+  for (std::string& alert : out.active_alerts) alert = r.str16();
+  return r.done();
 }
 
 bool peek_stats_version(const std::uint8_t* data, std::size_t size,
                         std::uint32_t& version) {
-  if (size < 5 ||
-      data[0] != static_cast<std::uint8_t>(MsgType::kStatsResponse)) {
+  codec::Reader r(data, size);
+  if (r.u8() != static_cast<std::uint8_t>(MsgType::kStatsResponse)) {
     return false;
   }
-  version = 0;
-  for (int i = 4; i >= 1; --i) {
-    version = (version << 8) | data[i];
-  }
-  return true;
+  version = r.u32();
+  return r.ok();
 }
 
 namespace {

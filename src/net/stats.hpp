@@ -4,9 +4,9 @@
 // shard-local atomics (no global lock, see ServingEngine::snapshot()) and
 // the wire layer ships it as one STATS_RESP frame.  The encoding is
 // versioned and self-contained: u8 type=4, u32 version, then the fields in
-// declaration order.  Integers are little-endian fixed-width, doubles
-// travel as IEEE-754 bit patterns in a u64, strings as u16 length + bytes,
-// vectors as u32 count + entries.  A decoder that sees an unknown version
+// declaration order, in the byte format of codec/codec.hpp (strings as u16
+// length + bytes, vectors as u32 count + entries).  A decoder that sees an
+// unknown version
 // rejects the payload (clients and daemons ship together; there is no
 // cross-version skew to paper over).
 #pragma once
@@ -18,6 +18,9 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "codec/codec.hpp"
+#include "net/wire.hpp"
 
 namespace rlb::net {
 
@@ -32,6 +35,47 @@ inline constexpr std::uint32_t kStatsVersion = 5;
 enum class NodeRole : std::uint8_t { kBackend = 0, kRouter = 1 };
 
 const char* to_string(NodeRole role) noexcept;
+
+// Pieces every admin response (STATS_RESP, TRACE_RESP, EVENTS_RESP)
+// shares.  Each opens with u8 type + u32 version and names the node that
+// answered as u8 role + u32 backend_id; decoders reject a wrong type, a
+// version other than the one they speak, and an unknown role.
+
+void encode_admin_version(codec::Writer& w, MsgType type,
+                          std::uint32_t version);
+/// Reads type + version into `version`; false on a wrong type or version.
+bool decode_admin_version(codec::Reader& r, MsgType type, std::uint32_t want,
+                          std::uint32_t& version);
+void encode_node(codec::Writer& w, NodeRole role, std::uint32_t backend_id);
+/// False (and the reader's error flag) on an unknown role.
+bool decode_node(codec::Reader& r, NodeRole& role, std::uint32_t& backend_id);
+
+/// The prefix of the two drain responses, TRACE_RESP and EVENTS_RESP:
+///   u8 type, u32 version, u8 role, u32 backend_id,
+///   u64 steady_ns, u64 wall_ns, u64 dropped
+/// Each snapshot type derives from it and appends its own cursor fields
+/// and items.
+struct DrainEnvelope {
+  std::uint32_t version = 0;
+  NodeRole role = NodeRole::kBackend;
+  std::uint32_t backend_id = 0;
+  /// Clock anchor sampled at encode time: the peer's steady clock and wall
+  /// clock at one instant, so a scraper can place the peer's steady-clock
+  /// timestamps on its own wall clock (see net/admin_drain.hpp).
+  std::uint64_t steady_ns = 0;
+  std::uint64_t wall_ns = 0;
+  /// Items the peer lost before this response (ring overflow).
+  std::uint64_t dropped = 0;
+
+  /// How scrapers name the node: "router" or "backend-<id>".
+  [[nodiscard]] std::string label() const;
+};
+
+void encode_envelope(codec::Writer& w, MsgType type, const DrainEnvelope& env);
+/// False on a wrong type, a version other than `version`, an unknown role,
+/// or truncation.
+bool decode_envelope(codec::Reader& r, MsgType type, std::uint32_t version,
+                     DrainEnvelope& env);
 
 /// Number of log2-microsecond latency buckets.  Bucket i counts samples
 /// with floor(log2(us)) == i (bucket 0 also takes us <= 1); the last

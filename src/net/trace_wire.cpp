@@ -1,5 +1,6 @@
 #include "net/trace_wire.hpp"
 
+#include <algorithm>
 #include <mutex>
 #include <set>
 #include <string>
@@ -10,87 +11,6 @@
 namespace rlb::net {
 
 namespace {
-
-// Little-endian primitives, mirroring stats.cpp.
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
-void put_name(std::vector<std::uint8_t>& out, const char* s) {
-  std::size_t n = 0;
-  while (s[n] != '\0' && n < 0xFFFF) ++n;
-  put_u16(out, static_cast<std::uint16_t>(n));
-  out.insert(out.end(), s, s + n);
-}
-
-/// Bounds-checked sequential reader (the stats.cpp Cursor, duplicated
-/// because it lives in that file's anonymous namespace).
-class Cursor {
- public:
-  Cursor(const std::uint8_t* data, std::size_t size)
-      : data_(data), size_(size) {}
-
-  bool u8(std::uint8_t& v) {
-    if (!has(1)) return false;
-    v = data_[pos_];
-    pos_ += 1;
-    return true;
-  }
-
-  bool u16(std::uint16_t& v) {
-    if (!has(2)) return false;
-    v = static_cast<std::uint16_t>(data_[pos_]) |
-        static_cast<std::uint16_t>(data_[pos_ + 1] << 8);
-    pos_ += 2;
-    return true;
-  }
-
-  bool u32(std::uint32_t& v) {
-    if (!has(4)) return false;
-    v = 0;
-    for (int i = 3; i >= 0; --i) v = (v << 8) | data_[pos_ + i];
-    pos_ += 4;
-    return true;
-  }
-
-  bool u64(std::uint64_t& v) {
-    if (!has(8)) return false;
-    v = 0;
-    for (int i = 7; i >= 0; --i) v = (v << 8) | data_[pos_ + i];
-    pos_ += 8;
-    return true;
-  }
-
-  bool str(std::string& v) {
-    std::uint16_t n = 0;
-    if (!u16(n) || !has(n)) return false;
-    v.assign(reinterpret_cast<const char*>(data_ + pos_), n);
-    pos_ += n;
-    return true;
-  }
-
-  [[nodiscard]] bool exhausted() const { return pos_ == size_; }
-
- private:
-  [[nodiscard]] bool has(std::size_t n) const { return size_ - pos_ >= n; }
-
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
 
 /// Decoded span names must outlive the returned spans; intern them.
 const char* intern_name(const std::string& name) {
@@ -104,69 +24,54 @@ const char* intern_name(const std::string& name) {
 
 void encode_trace_payload(const TraceSnapshot& snapshot,
                           std::vector<std::uint8_t>& out) {
-  out.push_back(static_cast<std::uint8_t>(MsgType::kTraceResponse));
-  put_u32(out, snapshot.version);
-  out.push_back(static_cast<std::uint8_t>(snapshot.role));
-  put_u32(out, snapshot.backend_id);
-  put_u64(out, snapshot.steady_ns);
-  put_u64(out, snapshot.wall_ns);
-  put_u64(out, snapshot.dropped);
-  put_u64(out, snapshot.remaining);
-
+  codec::Writer w(out);
+  encode_envelope(w, MsgType::kTraceResponse, snapshot);
+  w.u64(snapshot.remaining);
   const std::size_t count =
-      snapshot.spans.size() > kMaxSpansPerTraceResponse
-          ? kMaxSpansPerTraceResponse
-          : snapshot.spans.size();
-  put_u32(out, static_cast<std::uint32_t>(count));
+      std::min(snapshot.spans.size(), kMaxSpansPerTraceResponse);
+  w.u32(static_cast<std::uint32_t>(count));
   for (std::size_t i = 0; i < count; ++i) {
     const obs::Span& s = snapshot.spans[i];
-    put_u64(out, s.trace_id);
-    put_u64(out, s.span_id);
-    put_u64(out, s.parent_span_id);
-    put_u64(out, s.start_ns);
-    put_u64(out, s.end_ns);
-    put_u64(out, s.queue_depth);
-    put_name(out, s.name);
-    put_u32(out, s.shard);
-    put_u32(out, s.tid);
-    out.push_back(s.flags);
-    out.push_back(s.cause);
+    w.u64(s.trace_id);
+    w.u64(s.span_id);
+    w.u64(s.parent_span_id);
+    w.u64(s.start_ns);
+    w.u64(s.end_ns);
+    w.u64(s.queue_depth);
+    w.str16(s.name);
+    w.u32(s.shard);
+    w.u32(s.tid);
+    w.u8(s.flags);
+    w.u8(s.cause);
   }
 }
 
 bool decode_trace_payload(const std::uint8_t* data, std::size_t size,
                           TraceSnapshot& out) {
-  if (size == 0 ||
-      data[0] != static_cast<std::uint8_t>(MsgType::kTraceResponse)) {
+  codec::Reader r(data, size);
+  if (!decode_envelope(r, MsgType::kTraceResponse, kTraceVersion, out)) {
     return false;
   }
-  Cursor c(data + 1, size - 1);
-  if (!c.u32(out.version)) return false;
-  if (out.version != kTraceVersion) return false;
-  std::uint8_t role = 0;
-  if (!c.u8(role)) return false;
-  if (role > static_cast<std::uint8_t>(NodeRole::kRouter)) return false;
-  out.role = static_cast<NodeRole>(role);
-  if (!c.u32(out.backend_id) || !c.u64(out.steady_ns) ||
-      !c.u64(out.wall_ns) || !c.u64(out.dropped) || !c.u64(out.remaining)) {
-    return false;
-  }
-
-  std::uint32_t count = 0;
-  if (!c.u32(count)) return false;
+  out.remaining = r.u64();
+  const std::uint32_t count = r.u32();
   if (count > kMaxSpansPerTraceResponse) return false;
   out.spans.assign(count, obs::Span{});
-  std::string name;
   for (obs::Span& s : out.spans) {
-    if (!c.u64(s.trace_id) || !c.u64(s.span_id) ||
-        !c.u64(s.parent_span_id) || !c.u64(s.start_ns) || !c.u64(s.end_ns) ||
-        !c.u64(s.queue_depth) || !c.str(name) || !c.u32(s.shard) ||
-        !c.u32(s.tid) || !c.u8(s.flags) || !c.u8(s.cause)) {
-      return false;
-    }
+    s.trace_id = r.u64();
+    s.span_id = r.u64();
+    s.parent_span_id = r.u64();
+    s.start_ns = r.u64();
+    s.end_ns = r.u64();
+    s.queue_depth = r.u64();
+    const std::string name = r.str16();
+    s.shard = r.u32();
+    s.tid = r.u32();
+    s.flags = r.u8();
+    s.cause = r.u8();
+    if (!r.ok()) return false;
     s.name = intern_name(name);
   }
-  return c.exhausted();
+  return r.done();
 }
 
 TraceSnapshot make_trace_snapshot(NodeRole role, std::uint32_t backend_id) {

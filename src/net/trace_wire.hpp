@@ -2,11 +2,11 @@
 // the wire.
 //
 // A TRACE request (net/wire.hpp, u8 type=5) asks the daemon for buffered
-// spans; the answer is one TRACE_RESP frame carrying a TraceSnapshot.  The
-// encoding follows STATS_RESP conventions exactly (net/stats.hpp): u8
-// type=6, u32 version, then fields in declaration order — little-endian
-// fixed-width integers, strings as u16 length + bytes, vectors as u32
-// count + entries, exact payload consumption required.
+// spans; the answer is one TRACE_RESP frame carrying a TraceSnapshot: the
+// drain envelope (net/stats.hpp: u8 type=6, u32 version, role, backend_id,
+// clock anchor, dropped), then u64 remaining, u32 span count and the spans,
+// in the byte format of codec/codec.hpp (span names as u16 length +
+// bytes).  Decoders require exact payload consumption.
 //
 // Responses DRAIN: each answered TRACE removes the returned spans from the
 // recorder, and at most kMaxSpansPerTraceResponse travel per frame (the
@@ -39,16 +39,10 @@ inline constexpr std::uint32_t kTraceVersion = 1;
 /// under kMaxFramePayload even with long span names.
 inline constexpr std::size_t kMaxSpansPerTraceResponse = 400;
 
-/// One TRACE_RESP frame's worth of spans.
-struct TraceSnapshot {
-  std::uint32_t version = kTraceVersion;
-  NodeRole role = NodeRole::kBackend;
-  std::uint32_t backend_id = 0;
-  /// Clock anchor sampled at encode time (see file comment).
-  std::uint64_t steady_ns = 0;
-  std::uint64_t wall_ns = 0;
-  /// Spans lost before this snapshot: ring evictions.
-  std::uint64_t dropped = 0;
+/// One TRACE_RESP frame's worth of spans, after the drain envelope
+/// (net/stats.hpp; `dropped` counts ring evictions).
+struct TraceSnapshot : DrainEnvelope {
+  TraceSnapshot() { version = kTraceVersion; }
   /// Spans still buffered after this drain (non-zero => scrape again).
   std::uint64_t remaining = 0;
   std::vector<obs::Span> spans;

@@ -2,34 +2,25 @@
 
 #include <cstring>
 
+#include "codec/codec.hpp"
+
 namespace rlb::net {
 
 namespace {
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-}
+using codec::load_le;
+using codec::store_le;
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
+/// Append a frame's length prefix and type byte, sized for a `payload`-
+/// byte payload, and return where the body (after the type byte) goes.
+std::uint8_t* begin_frame(std::vector<std::uint8_t>& out, MsgType type,
+                          std::size_t payload) {
+  const std::size_t at = out.size();
+  out.resize(at + 4 + payload);
+  std::uint8_t* p = out.data() + at;
+  store_le(p, static_cast<std::uint32_t>(payload));
+  p[4] = static_cast<std::uint8_t>(type);
+  return p + 5;
 }
 
 }  // namespace
@@ -55,25 +46,24 @@ void encode_request(const RequestMsg& msg, std::vector<std::uint8_t>& out) {
   // non-sampled request is byte-identical to the v1 frame (and old peers
   // never see the extended size).
   const bool traced = msg.trace.valid();
-  put_u32(out, static_cast<std::uint32_t>(traced ? kRequestTracedPayloadSize
-                                                 : kRequestPayloadSize));
-  out.push_back(static_cast<std::uint8_t>(MsgType::kRequest));
-  put_u64(out, msg.request_id);
-  put_u64(out, msg.key);
+  std::uint8_t* p =
+      begin_frame(out, MsgType::kRequest,
+                  traced ? kRequestTracedPayloadSize : kRequestPayloadSize);
+  store_le(p, msg.request_id);
+  store_le(p + 8, msg.key);
   if (traced) {
-    put_u64(out, msg.trace.trace_id);
-    put_u64(out, msg.trace.parent_span_id);
-    out.push_back(msg.trace.flags);
+    store_le(p + 16, msg.trace.trace_id);
+    store_le(p + 24, msg.trace.parent_span_id);
+    p[32] = msg.trace.flags;
   }
 }
 
 void encode_response(const ResponseMsg& msg, std::vector<std::uint8_t>& out) {
-  put_u32(out, static_cast<std::uint32_t>(kResponsePayloadSize));
-  out.push_back(static_cast<std::uint8_t>(MsgType::kResponse));
-  put_u64(out, msg.request_id);
-  out.push_back(static_cast<std::uint8_t>(msg.status));
-  put_u32(out, msg.server);
-  put_u32(out, msg.wait_steps);
+  std::uint8_t* p = begin_frame(out, MsgType::kResponse, kResponsePayloadSize);
+  store_le(p, msg.request_id);
+  p[8] = static_cast<std::uint8_t>(msg.status);
+  store_le(p + 9, msg.server);
+  store_le(p + 13, msg.wait_steps);
 }
 
 void encode_stats_request(const StatsRequestMsg& msg,
@@ -83,59 +73,23 @@ void encode_stats_request(const StatsRequestMsg& msg,
   // 5-byte v1 frame, so the extension costs zero bytes until the first
   // placement cutover.
   const bool epoched = msg.epoch != 0;
-  put_u32(out, static_cast<std::uint32_t>(epoched ? kStatsEpochPayloadSize
-                                                  : kStatsPayloadSize));
-  out.push_back(static_cast<std::uint8_t>(MsgType::kStats));
-  put_u32(out, msg.flags);
-  if (epoched) put_u64(out, msg.epoch);
-}
-
-bool encode_stats_response_frame(const std::vector<std::uint8_t>& payload,
-                                 std::vector<std::uint8_t>& out) {
-  if (payload.empty() || payload.size() > kMaxFramePayload) return false;
-  if (payload[0] != static_cast<std::uint8_t>(MsgType::kStatsResponse)) {
-    return false;
-  }
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
-  return true;
+  std::uint8_t* p =
+      begin_frame(out, MsgType::kStats,
+                  epoched ? kStatsEpochPayloadSize : kStatsPayloadSize);
+  store_le(p, msg.flags);
+  if (epoched) store_le(p + 4, msg.epoch);
 }
 
 void encode_trace_request(const TraceRequestMsg& msg,
                           std::vector<std::uint8_t>& out) {
-  put_u32(out, static_cast<std::uint32_t>(kTracePayloadSize));
-  out.push_back(static_cast<std::uint8_t>(MsgType::kTrace));
-  put_u32(out, msg.flags);
-}
-
-bool encode_trace_response_frame(const std::vector<std::uint8_t>& payload,
-                                 std::vector<std::uint8_t>& out) {
-  if (payload.empty() || payload.size() > kMaxFramePayload) return false;
-  if (payload[0] != static_cast<std::uint8_t>(MsgType::kTraceResponse)) {
-    return false;
-  }
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
-  return true;
+  store_le(begin_frame(out, MsgType::kTrace, kTracePayloadSize), msg.flags);
 }
 
 void encode_events_request(const EventsRequestMsg& msg,
                            std::vector<std::uint8_t>& out) {
-  put_u32(out, static_cast<std::uint32_t>(kEventsPayloadSize));
-  out.push_back(static_cast<std::uint8_t>(MsgType::kEvents));
-  put_u32(out, msg.flags);
-  put_u64(out, msg.cursor);
-}
-
-bool encode_events_response_frame(const std::vector<std::uint8_t>& payload,
-                                  std::vector<std::uint8_t>& out) {
-  if (payload.empty() || payload.size() > kMaxFramePayload) return false;
-  if (payload[0] != static_cast<std::uint8_t>(MsgType::kEventsResponse)) {
-    return false;
-  }
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
-  return true;
+  std::uint8_t* p = begin_frame(out, MsgType::kEvents, kEventsPayloadSize);
+  store_le(p, msg.flags);
+  store_le(p + 4, msg.cursor);
 }
 
 bool encode_migrate(const MigrateMsg& msg, std::vector<std::uint8_t>& out) {
@@ -143,18 +97,16 @@ bool encode_migrate(const MigrateMsg& msg, std::vector<std::uint8_t>& out) {
   if (msg.target_host.size() > 0xffff || payload > kMaxFramePayload) {
     return false;
   }
-  put_u32(out, static_cast<std::uint32_t>(payload));
-  out.push_back(static_cast<std::uint8_t>(MsgType::kMigrate));
-  put_u64(out, msg.migration_id);
-  put_u64(out, msg.chunk);
-  put_u64(out, msg.epoch);
-  put_u32(out, msg.target_backend);
-  put_u64(out, msg.bytes);
-  out.push_back(static_cast<std::uint8_t>(msg.target_port));
-  out.push_back(static_cast<std::uint8_t>(msg.target_port >> 8));
-  out.push_back(static_cast<std::uint8_t>(msg.target_host.size()));
-  out.push_back(static_cast<std::uint8_t>(msg.target_host.size() >> 8));
-  out.insert(out.end(), msg.target_host.begin(), msg.target_host.end());
+  codec::Writer w(out);
+  w.u32(static_cast<std::uint32_t>(payload));
+  w.u8(static_cast<std::uint8_t>(MsgType::kMigrate));
+  w.u64(msg.migration_id);
+  w.u64(msg.chunk);
+  w.u64(msg.epoch);
+  w.u32(msg.target_backend);
+  w.u64(msg.bytes);
+  w.u16(msg.target_port);
+  w.str16(msg.target_host);
   return true;
 }
 
@@ -162,81 +114,86 @@ bool encode_migrate_data(const MigrateDataMsg& msg,
                          std::vector<std::uint8_t>& out) {
   if (msg.payload.size() > kMaxMigrateSlice) return false;
   const std::size_t payload = kMigrateDataHeaderSize + msg.payload.size();
-  put_u32(out, static_cast<std::uint32_t>(payload));
-  out.push_back(static_cast<std::uint8_t>(MsgType::kMigrateData));
-  put_u64(out, msg.migration_id);
-  put_u64(out, msg.chunk);
-  put_u64(out, msg.offset);
-  put_u64(out, msg.total_bytes);
-  put_u64(out, msg.checksum);
-  out.push_back(msg.last ? 1 : 0);
-  put_u32(out, static_cast<std::uint32_t>(msg.payload.size()));
-  out.insert(out.end(), msg.payload.begin(), msg.payload.end());
+  codec::Writer w(out);
+  w.u32(static_cast<std::uint32_t>(payload));
+  w.u8(static_cast<std::uint8_t>(MsgType::kMigrateData));
+  w.u64(msg.migration_id);
+  w.u64(msg.chunk);
+  w.u64(msg.offset);
+  w.u64(msg.total_bytes);
+  w.u64(msg.checksum);
+  w.u8(msg.last ? 1 : 0);
+  w.u32(static_cast<std::uint32_t>(msg.payload.size()));
+  w.bytes(msg.payload.data(), msg.payload.size());
+  return true;
+}
+
+bool encode_admin_response_frame(const std::vector<std::uint8_t>& payload,
+                                 std::vector<std::uint8_t>& out) {
+  if (payload.empty() || payload.size() > kMaxFramePayload) return false;
+  const auto type = static_cast<MsgType>(payload[0]);
+  if (type != MsgType::kStatsResponse && type != MsgType::kTraceResponse &&
+      type != MsgType::kEventsResponse) {
+    return false;
+  }
+  std::uint8_t* body = begin_frame(out, type, payload.size());
+  std::memcpy(body, payload.data() + 1, payload.size() - 1);
   return true;
 }
 
 void encode_migrate_ack(const MigrateAckMsg& msg,
                         std::vector<std::uint8_t>& out) {
-  put_u32(out, static_cast<std::uint32_t>(kMigrateAckPayloadSize));
-  out.push_back(static_cast<std::uint8_t>(MsgType::kMigrateAck));
-  put_u64(out, msg.migration_id);
-  out.push_back(msg.status);
-  put_u64(out, msg.bytes);
+  std::uint8_t* p =
+      begin_frame(out, MsgType::kMigrateAck, kMigrateAckPayloadSize);
+  store_le(p, msg.migration_id);
+  p[8] = msg.status;
+  store_le(p + 9, msg.bytes);
 }
 
 bool decode_migrate(const std::uint8_t* data, std::size_t size,
                     MigrateMsg& out) {
-  if (size < kMigrateHeaderSize ||
-      data[0] != static_cast<std::uint8_t>(MsgType::kMigrate)) {
-    return false;
-  }
-  out.migration_id = get_u64(data + 1);
-  out.chunk = get_u64(data + 9);
-  out.epoch = get_u64(data + 17);
-  out.target_backend = get_u32(data + 25);
-  out.bytes = get_u64(data + 29);
-  out.target_port = static_cast<std::uint16_t>(
-      data[37] | (static_cast<std::uint16_t>(data[38]) << 8));
-  const std::size_t host_len =
-      data[39] | (static_cast<std::size_t>(data[40]) << 8);
-  if (size != kMigrateHeaderSize + host_len) return false;
-  out.target_host.assign(reinterpret_cast<const char*>(data + 41), host_len);
-  return true;
+  codec::Reader r(data, size);
+  if (r.u8() != static_cast<std::uint8_t>(MsgType::kMigrate)) return false;
+  out.migration_id = r.u64();
+  out.chunk = r.u64();
+  out.epoch = r.u64();
+  out.target_backend = r.u32();
+  out.bytes = r.u64();
+  out.target_port = r.u16();
+  out.target_host = r.str16();
+  return r.done();
 }
 
 bool decode_migrate_data(const std::uint8_t* data, std::size_t size,
                          MigrateDataMsg& out) {
-  if (size < kMigrateDataHeaderSize ||
-      data[0] != static_cast<std::uint8_t>(MsgType::kMigrateData)) {
+  codec::Reader r(data, size);
+  if (r.u8() != static_cast<std::uint8_t>(MsgType::kMigrateData)) {
     return false;
   }
-  out.migration_id = get_u64(data + 1);
-  out.chunk = get_u64(data + 9);
-  out.offset = get_u64(data + 17);
-  out.total_bytes = get_u64(data + 25);
-  out.checksum = get_u64(data + 33);
-  if (data[41] > 1) return false;
-  out.last = data[41] == 1;
-  const std::size_t payload_len = get_u32(data + 42);
-  if (payload_len > kMaxMigrateSlice ||
-      size != kMigrateDataHeaderSize + payload_len) {
-    return false;
-  }
-  out.payload.assign(data + kMigrateDataHeaderSize,
-                     data + kMigrateDataHeaderSize + payload_len);
+  out.migration_id = r.u64();
+  out.chunk = r.u64();
+  out.offset = r.u64();
+  out.total_bytes = r.u64();
+  out.checksum = r.u64();
+  const std::uint8_t last = r.u8();
+  if (last > 1) return false;
+  out.last = last == 1;
+  const std::uint32_t payload_len = r.u32();
+  if (payload_len > kMaxMigrateSlice) return false;
+  const std::uint8_t* payload = r.bytes(payload_len);
+  if (!r.done()) return false;
+  out.payload.assign(payload, payload + payload_len);
   return true;
 }
 
 bool decode_migrate_ack(const std::uint8_t* data, std::size_t size,
                         MigrateAckMsg& out) {
-  if (size != kMigrateAckPayloadSize ||
-      data[0] != static_cast<std::uint8_t>(MsgType::kMigrateAck)) {
-    return false;
-  }
-  out.migration_id = get_u64(data + 1);
-  out.status = data[9];
-  out.bytes = get_u64(data + 10);
-  return true;
+  codec::Reader r(data, size);
+  if (r.u8() != static_cast<std::uint8_t>(MsgType::kMigrateAck)) return false;
+  out.migration_id = r.u64();
+  out.status = r.u8();
+  out.bytes = r.u64();
+  return r.done();
 }
 
 std::uint64_t migrate_checksum(const std::uint8_t* data,
@@ -263,11 +220,11 @@ Decoded decode_payload(const std::uint8_t* data, std::size_t size,
       if (size != kRequestPayloadSize && size != kRequestTracedPayloadSize) {
         return Decoded::kMalformed;
       }
-      request.request_id = get_u64(data + 1);
-      request.key = get_u64(data + 9);
+      request.request_id = load_le<std::uint64_t>(data + 1);
+      request.key = load_le<std::uint64_t>(data + 9);
       if (size == kRequestTracedPayloadSize) {
-        request.trace.trace_id = get_u64(data + 17);
-        request.trace.parent_span_id = get_u64(data + 25);
+        request.trace.trace_id = load_le<std::uint64_t>(data + 17);
+        request.trace.parent_span_id = load_le<std::uint64_t>(data + 25);
         request.trace.flags = data[33];
       } else {
         request.trace = obs::TraceContext{};
@@ -275,14 +232,14 @@ Decoded decode_payload(const std::uint8_t* data, std::size_t size,
       return Decoded::kRequest;
     case MsgType::kResponse: {
       if (size != kResponsePayloadSize) return Decoded::kMalformed;
-      response.request_id = get_u64(data + 1);
+      response.request_id = load_le<std::uint64_t>(data + 1);
       const std::uint8_t status = data[9];
       if (status > static_cast<std::uint8_t>(Status::kRejectUpstreamTimeout)) {
         return Decoded::kMalformed;
       }
       response.status = static_cast<Status>(status);
-      response.server = get_u32(data + 10);
-      response.wait_steps = get_u32(data + 14);
+      response.server = load_le<std::uint32_t>(data + 10);
+      response.wait_steps = load_le<std::uint32_t>(data + 14);
       return Decoded::kResponse;
     }
     case MsgType::kStats:
@@ -291,8 +248,10 @@ Decoded decode_payload(const std::uint8_t* data, std::size_t size,
       if (size != kStatsPayloadSize && size != kStatsEpochPayloadSize) {
         return Decoded::kMalformed;
       }
-      stats.flags = get_u32(data + 1);
-      stats.epoch = size == kStatsEpochPayloadSize ? get_u64(data + 5) : 0;
+      stats.flags = load_le<std::uint32_t>(data + 1);
+      stats.epoch = size == kStatsEpochPayloadSize
+                        ? load_le<std::uint64_t>(data + 5)
+                        : 0;
       return Decoded::kStats;
     case MsgType::kStatsResponse:
       // The snapshot body is versioned and parsed by net/stats.hpp; here we
@@ -302,7 +261,7 @@ Decoded decode_payload(const std::uint8_t* data, std::size_t size,
       return Decoded::kStatsResponse;
     case MsgType::kTrace:
       if (size != kTracePayloadSize) return Decoded::kMalformed;
-      trace.flags = get_u32(data + 1);
+      trace.flags = load_le<std::uint32_t>(data + 1);
       return Decoded::kTrace;
     case MsgType::kTraceResponse:
       // Versioned span blob parsed by net/trace_wire.hpp; classify only,
@@ -322,8 +281,8 @@ Decoded decode_payload(const std::uint8_t* data, std::size_t size,
       return Decoded::kMigrateAck;
     case MsgType::kEvents:
       if (size != kEventsPayloadSize) return Decoded::kMalformed;
-      events.flags = get_u32(data + 1);
-      events.cursor = get_u64(data + 5);
+      events.flags = load_le<std::uint32_t>(data + 1);
+      events.cursor = load_le<std::uint64_t>(data + 5);
       return Decoded::kEvents;
     case MsgType::kEventsResponse:
       // Versioned event batch parsed by net/events_wire.hpp; classify
@@ -393,7 +352,7 @@ bool FrameDecoder::feed(const std::uint8_t* data, std::size_t size) {
   // Validate eagerly so a poisoned stream is detected at feed time, not
   // only when the caller drains frames.
   if (buffer_.size() - offset_ >= 4) {
-    const std::uint32_t length = get_u32(buffer_.data() + offset_);
+    const auto length = load_le<std::uint32_t>(buffer_.data() + offset_);
     if (length == 0 || length > kMaxFramePayload) {
       poison();
       return false;
@@ -406,7 +365,7 @@ bool FrameDecoder::next_view(FrameView& out) {
   if (error_) return false;
   const std::size_t available = buffer_.size() - offset_;
   if (available < 4) return false;
-  const std::uint32_t length = get_u32(buffer_.data() + offset_);
+  const auto length = load_le<std::uint32_t>(buffer_.data() + offset_);
   if (length == 0 || length > kMaxFramePayload) {
     poison();
     return false;
@@ -419,7 +378,8 @@ bool FrameDecoder::next_view(FrameView& out) {
     // Eager validation of the next frame header (see feed()).  poison()
     // leaves the storage alone, so the view we are about to return stays
     // valid even when the byte right behind it trips the error.
-    const std::uint32_t next_length = get_u32(buffer_.data() + offset_);
+    const auto next_length =
+        load_le<std::uint32_t>(buffer_.data() + offset_);
     if (next_length == 0 || next_length > kMaxFramePayload) poison();
   }
   return true;

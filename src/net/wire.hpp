@@ -217,21 +217,14 @@ void encode_stats_request(const StatsRequestMsg& msg,
                           std::vector<std::uint8_t>& out);
 void encode_trace_request(const TraceRequestMsg& msg,
                           std::vector<std::uint8_t>& out);
-/// Frame an already-encoded STATS_RESP payload (type byte included — see
-/// net/stats.hpp encode_stats_payload).  Returns false (and appends
-/// nothing) when the payload exceeds kMaxFramePayload.
-bool encode_stats_response_frame(const std::vector<std::uint8_t>& payload,
-                                 std::vector<std::uint8_t>& out);
-/// Same for a TRACE_RESP payload (see net/trace_wire.hpp
-/// encode_trace_payload).
-bool encode_trace_response_frame(const std::vector<std::uint8_t>& payload,
-                                 std::vector<std::uint8_t>& out);
 void encode_events_request(const EventsRequestMsg& msg,
                            std::vector<std::uint8_t>& out);
-/// Same for an EVENTS_RESP payload (see net/events_wire.hpp
-/// encode_events_payload).
-bool encode_events_response_frame(const std::vector<std::uint8_t>& payload,
-                                  std::vector<std::uint8_t>& out);
+/// Frame an already-encoded STATS_RESP, TRACE_RESP or EVENTS_RESP payload
+/// (type byte included — see encode_stats_payload, encode_trace_payload,
+/// encode_events_payload).  Returns false (and appends nothing) when the
+/// payload is not one of those or exceeds kMaxFramePayload.
+bool encode_admin_response_frame(const std::vector<std::uint8_t>& payload,
+                                 std::vector<std::uint8_t>& out);
 
 /// Repair-plane frames.  encode_migrate fails (appends nothing) when the
 /// host name would overflow the frame cap; encode_migrate_data fails when

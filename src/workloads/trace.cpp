@@ -2,8 +2,11 @@
 
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
+
+#include "codec/codec.hpp"
 
 namespace rlb::workloads {
 
@@ -63,54 +66,26 @@ namespace {
 constexpr char kTraceMagic[4] = {'R', 'L', 'B', 'T'};
 constexpr std::uint32_t kTraceVersion = 1;
 
-void put_u32(std::ostream& os, std::uint32_t v) {
-  char bytes[4];
-  for (int i = 0; i < 4; ++i) bytes[i] = static_cast<char>(v >> (8 * i));
-  os.write(bytes, 4);
-}
-
-void put_u64(std::ostream& os, std::uint64_t v) {
-  char bytes[8];
-  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>(v >> (8 * i));
-  os.write(bytes, 8);
-}
-
-std::uint32_t get_u32(std::istream& is) {
-  char bytes[4];
-  if (!is.read(bytes, 4)) {
-    throw std::runtime_error("Trace::load_binary: truncated stream");
-  }
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t get_u64(std::istream& is) {
-  char bytes[8];
-  if (!is.read(bytes, 8)) {
-    throw std::runtime_error("Trace::load_binary: truncated stream");
-  }
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[i]))
-         << (8 * i);
-  }
-  return v;
+[[noreturn]] void truncated() {
+  throw std::runtime_error("Trace::load_binary: truncated stream");
 }
 
 }  // namespace
 
 void Trace::save_binary(std::ostream& os) const {
-  os.write(kTraceMagic, sizeof(kTraceMagic));
-  put_u32(os, kTraceVersion);
-  put_u64(os, static_cast<std::uint64_t>(steps_.size()));
+  std::vector<std::uint8_t> bytes;
+  bytes.reserve(16 + 4 * steps_.size() + 8 * total_);
+  codec::Writer w(bytes);
+  w.bytes(reinterpret_cast<const std::uint8_t*>(kTraceMagic),
+          sizeof(kTraceMagic));
+  w.u32(kTraceVersion);
+  w.u64(static_cast<std::uint64_t>(steps_.size()));
   for (const auto& step : steps_) {
-    put_u32(os, static_cast<std::uint32_t>(step.size()));
-    for (const core::ChunkId chunk : step) put_u64(os, chunk);
+    w.u32(static_cast<std::uint32_t>(step.size()));
+    for (const core::ChunkId chunk : step) w.u64(chunk);
   }
+  os.write(reinterpret_cast<const char*>(bytes.data()),
+           static_cast<std::streamsize>(bytes.size()));
   if (!os) throw std::runtime_error("Trace::save_binary: write failed");
 }
 
@@ -123,24 +98,35 @@ void Trace::save_binary_file(const std::string& path) const {
 }
 
 Trace Trace::load_binary(std::istream& is) {
-  char magic[4];
-  if (!is.read(magic, 4) ||
+  const std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(is)),
+                                       std::istreambuf_iterator<char>());
+  codec::Reader r(bytes.data(), bytes.size());
+  const std::uint8_t* magic = r.bytes(sizeof(kTraceMagic));
+  if (magic == nullptr ||
       std::memcmp(magic, kTraceMagic, sizeof(kTraceMagic)) != 0) {
     throw std::runtime_error("Trace::load_binary: bad magic (not a trace?)");
   }
-  const std::uint32_t version = get_u32(is);
+  const std::uint32_t version = r.u32();
+  if (!r.ok()) truncated();
   if (version != kTraceVersion) {
     throw std::runtime_error("Trace::load_binary: unsupported version " +
                              std::to_string(version));
   }
-  const std::uint64_t step_count = get_u64(is);
+  // Counts come from outside the program: each is vetted against the
+  // bytes left (a step takes at least its u32 batch size, a chunk its u64
+  // id) before anything is sized by it.
+  const std::uint64_t step_count = r.u64();
+  if (!r.fits(step_count, 4)) truncated();
   Trace trace;
   for (std::uint64_t s = 0; s < step_count; ++s) {
-    const std::uint32_t batch_size = get_u32(is);
-    std::vector<core::ChunkId> batch;
-    batch.reserve(batch_size);
-    for (std::uint32_t i = 0; i < batch_size; ++i) batch.push_back(get_u64(is));
+    const std::uint32_t batch_size = r.u32();
+    if (!r.fits(batch_size, 8)) truncated();
+    std::vector<core::ChunkId> batch(batch_size);
+    for (core::ChunkId& chunk : batch) chunk = r.u64();
     trace.append_step(std::move(batch));
+  }
+  if (!r.done()) {
+    throw std::runtime_error("Trace::load_binary: trailing bytes");
   }
   return trace;
 }

@@ -36,8 +36,10 @@ class Trace {
   /// version header, u64 step count, then per step a u32 batch size
   /// followed by that many u64 chunk ids.  ~8 bytes per request vs ~7-20
   /// text characters, and no parsing on load.  Round-trips exactly through
-  /// load_binary(), which throws std::runtime_error on a bad magic,
-  /// an unsupported version, or a truncated stream.
+  /// load_binary(), which reads `is` to its end and throws
+  /// std::runtime_error on a bad magic, an unsupported version, a
+  /// truncated stream (including a count larger than the bytes left), or
+  /// trailing bytes.
   void save_binary(std::ostream& os) const;
   void save_binary_file(const std::string& path) const;
   static Trace load_binary(std::istream& is);

@@ -267,7 +267,7 @@ TEST(ClientVersionSkew, StatsMismatchThrowsWithThePeersVersion) {
   encode_stats_payload(snap, payload);
   payload[1] = static_cast<std::uint8_t>(kStatsVersion + 3);  // LE low byte
   std::vector<std::uint8_t> frame;
-  ASSERT_TRUE(encode_stats_response_frame(payload, frame));
+  ASSERT_TRUE(encode_admin_response_frame(payload, frame));
 
   CannedServer peer(frame);
   Client client;

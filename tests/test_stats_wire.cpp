@@ -345,7 +345,7 @@ TEST(StatsWire, ResponseFrameWrapsPayloadAndRejectsOversize) {
   std::vector<std::uint8_t> payload;
   encode_stats_payload(make_full_snapshot(), payload);
   std::vector<std::uint8_t> frame;
-  ASSERT_TRUE(encode_stats_response_frame(payload, frame));
+  ASSERT_TRUE(encode_admin_response_frame(payload, frame));
   ASSERT_EQ(frame.size(), payload.size() + 4);
 
   // The framed payload classifies as kStatsResponse...
@@ -365,7 +365,7 @@ TEST(StatsWire, ResponseFrameWrapsPayloadAndRejectsOversize) {
                                      static_cast<std::uint8_t>(
                                          MsgType::kStatsResponse));
   std::vector<std::uint8_t> out;
-  EXPECT_FALSE(encode_stats_response_frame(oversize, out));
+  EXPECT_FALSE(encode_admin_response_frame(oversize, out));
 }
 
 TEST(LatencyStats, QuantilesTrackTheLog2Buckets) {

@@ -149,6 +149,26 @@ TEST(TraceBinary, RejectsBadMagicVersionAndTruncation) {
   }
 }
 
+TEST(TraceBinary, RejectsCountsLargerThanTheFileWithoutAllocating) {
+  // A 20-byte header: magic, version 1, one step claiming 2^32-1 chunks.
+  // The loader must see that 32 GiB of chunk ids cannot follow and report
+  // a truncated stream, not size a reservation from the count.
+  std::string bytes = "RLBT";
+  bytes += std::string("\x01\x00\x00\x00", 4);
+  bytes += std::string("\x01\x00\x00\x00\x00\x00\x00\x00", 8);
+  bytes += std::string("\xff\xff\xff\xff", 4);
+  ASSERT_EQ(bytes.size(), 20u);
+  std::stringstream huge_batch(bytes);
+  EXPECT_THROW(Trace::load_binary(huge_batch), std::runtime_error);
+
+  // Same for the step count: 2^64-1 steps and nothing after them.
+  std::string steps = "RLBT";
+  steps += std::string("\x01\x00\x00\x00", 4);
+  steps += std::string(8, '\xff');
+  std::stringstream huge_steps(steps);
+  EXPECT_THROW(Trace::load_binary(huge_steps), std::runtime_error);
+}
+
 TEST(TraceBinary, BinaryFileRoundTripAndAutoDetect) {
   FreshUniformWorkload source(7);
   const Trace original = Trace::record(source, 5);

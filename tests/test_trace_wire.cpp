@@ -149,7 +149,7 @@ TEST(TraceCodec, FrameClassification) {
   std::vector<std::uint8_t> payload;
   encode_trace_payload(make_full_trace_snapshot(), payload);
   std::vector<std::uint8_t> response_frame;
-  ASSERT_TRUE(encode_trace_response_frame(payload, response_frame));
+  ASSERT_TRUE(encode_admin_response_frame(payload, response_frame));
   EXPECT_EQ(decode_payload(response_frame.data() + 4,
                            response_frame.size() - 4, request, response, stats,
                            decoded_trace),
@@ -164,7 +164,7 @@ TEST(TraceCodec, FrameClassification) {
   std::vector<std::uint8_t> oversize(
       kMaxFramePayload + 1, static_cast<std::uint8_t>(MsgType::kTraceResponse));
   std::vector<std::uint8_t> out;
-  EXPECT_FALSE(encode_trace_response_frame(oversize, out));
+  EXPECT_FALSE(encode_admin_response_frame(oversize, out));
 }
 
 TEST(RequestTraceExtension, PlainRequestStaysV1Sized) {
@@ -314,7 +314,7 @@ TEST_F(SpanRecorderTest, MakeTraceSnapshotDrainsWithAnchor) {
   encode_trace_payload(first, payload);
   EXPECT_LE(payload.size(), kMaxFramePayload);
   std::vector<std::uint8_t> frame;
-  EXPECT_TRUE(encode_trace_response_frame(payload, frame));
+  EXPECT_TRUE(encode_admin_response_frame(payload, frame));
 }
 
 TEST_F(SpanRecorderTest, RecordingSwitchGates) {
